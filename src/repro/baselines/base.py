@@ -5,6 +5,8 @@ import abc
 
 import numpy as np
 
+from repro.metrics import top_k
+
 
 class ANNIndex(abc.ABC):
     """fit(embeddings[, ids]) then search(query, k) → ranked external ids.
@@ -38,9 +40,4 @@ class ANNIndex(abc.ABC):
     @staticmethod
     def _top_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
         """ids of the k largest scores, descending."""
-        kk = min(k, scores.shape[0])
-        if kk == 0:
-            return np.empty(0, dtype=np.int64)
-        top = np.argpartition(-scores, kk - 1)[:kk]
-        top = top[np.argsort(-scores[top])]
-        return ids[top]
+        return ids[top_k(scores, k)]

@@ -19,6 +19,7 @@ from repro.baselines.base import ANNIndex
 from repro.baselines.hnsw import HNSW
 from repro.baselines.pq import _PQCodec
 from repro.core.kmeans import spherical_kmeans
+from repro.metrics import top_k
 
 
 class IVFPQIndex(ANNIndex):
@@ -62,10 +63,7 @@ class IVFPQIndex(ANNIndex):
         """Hook for the HNSW variant."""
 
     def _probe_lists(self, q: np.ndarray, p: int) -> np.ndarray:
-        scores = self.centroids @ q
-        p = min(p, scores.shape[0])
-        top = np.argpartition(-scores, p - 1)[:p]
-        return top[np.argsort(-scores[top])]
+        return top_k(self.centroids @ q, p)
 
     def search(self, q: np.ndarray, k: int) -> np.ndarray:
         q = np.asarray(q, dtype=np.float32)

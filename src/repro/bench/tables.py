@@ -112,13 +112,17 @@ def table3(
     rows = []
     for h in h_values:
         cm = CoreModel(CoreModelConfig(h=h)).fit(corpus.emb)
-        cm.reset_expansion_stats()
+        # Expansion time = steps (1)+(3)+(4): hash, predict, expand.
+        t0 = time.perf_counter()
+        for q in dev.emb:
+            cm.candidate_rows(q, k)
+        expansion_s = (time.perf_counter() - t0) / len(dev.emb)
         ranked = [list(map(int, cm.search(q, k)[0])) for q in dev.emb]
         rows.append(
             {
                 "H": h,
                 "mrr@10": round(mrr_at_k(ranked, dev.relevant, 10), 4),
-                "avg_expansion_s": round(cm.avg_expansion_seconds, 6),
+                "avg_expansion_s": round(expansion_s, 6),
             }
         )
     return rows

@@ -4,22 +4,23 @@ Build (staged exactly as Table 5 reports):
   * Stage 1 — spherical k-means clusters the corpus into ``c`` groups;
   * Stage 2 — one core model over the centroids (the *centroids retriever*);
   * Stage 3 — one core model per cluster (the *in-cluster retrievers*),
-    built in a thread pool (clusters are independent).
+    built in a pool of ``BUILD_WORKERS`` threads (clusters are independent).
 
-Search: centroids retriever → top-``c0`` clusters → in-cluster retrievers
-(optionally thread-parallel, §3.3.2) each return top-k with exact cosine
-scores → merge → global top-k.
+Search: centroids retriever → top-``c0`` clusters → each in-cluster
+retriever returns its top-k with exact cosine scores → merge → global top-k.
+Both layers' core models come from one derivation, ``LIDERConfig.core_config``.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.kmeans import spherical_kmeans
+from repro.metrics import top_k
 
 CENTROID_GROUP = -1  # projection-seed group id of the centroids retriever
 # All in-cluster retrievers share one projection-seed group: clusters index
@@ -27,6 +28,7 @@ CENTROID_GROUP = -1  # projection-seed group id of the centroids retriever
 # cluster's hashkey length) serves every cluster — the planes are numpy
 # views of a single cached matrix, counted once in the memory footprint.
 IN_CLUSTER_GROUP = 0
+BUILD_WORKERS = 8  # threads building the in-cluster retrievers (Stage 3)
 
 
 @dataclass
@@ -45,13 +47,19 @@ class LIDERConfig:
     w_centroids: int = 10
     w_incluster: int = 5
     r0: int = 4
-    b: int = 3
     pad: int = 4
     rescale: bool = True
     base_seed: int = 1234
     kmeans_iters: int = 20
-    parallel_incluster: bool = False  # thread pool over target clusters
-    build_workers: int = 8
+
+    def core_config(self, group: int) -> CoreModelConfig:
+        """The core-model config of one layer: ``CENTROID_GROUP`` for the
+        centroids retriever, ``IN_CLUSTER_GROUP`` for the in-cluster ones."""
+        width = self.w_centroids if group == CENTROID_GROUP else self.w_incluster
+        return CoreModelConfig(
+            h=self.h, width=width, r0=self.r0, pad=self.pad, rescale=self.rescale,
+            base_seed=self.base_seed, group=group,
+        )
 
     def resolve(self, n: int) -> tuple[int, int]:
         c = self.c if self.c is not None else max(4, min(n, n // self.target_cluster_size))
@@ -119,12 +127,9 @@ class LIDER:
 
         t0 = time.perf_counter()
         c_actual = self.centroids.shape[0]
-        self.centroid_retriever = CoreModel(
-            CoreModelConfig(
-                h=cfg.h, width=cfg.w_centroids, r0=cfg.r0, b=cfg.b, pad=cfg.pad,
-                rescale=cfg.rescale, base_seed=cfg.base_seed, group=CENTROID_GROUP,
-            )
-        ).fit(self.centroids, np.arange(c_actual, dtype=np.int64))
+        self.centroid_retriever = CoreModel(cfg.core_config(CENTROID_GROUP)).fit(
+            self.centroids, np.arange(c_actual, dtype=np.int64)
+        )
         self.report.stage2_seconds = time.perf_counter() - t0
         self.report.stage2_bytes = self.report.stage1_bytes + self.centroid_retriever.nbytes
 
@@ -132,21 +137,16 @@ class LIDER:
         members = {
             j: np.flatnonzero(self.assignments == j) for j in range(c_actual)
         }
+        in_cfg = cfg.core_config(IN_CLUSTER_GROUP)
 
         def _build(j: int) -> tuple[int, CoreModel | None]:
             rows = members[j]
             if rows.size == 0:
                 return j, None
-            cm = CoreModel(
-                CoreModelConfig(
-                    h=cfg.h, width=cfg.w_incluster, r0=cfg.r0, b=cfg.b, pad=cfg.pad,
-                    rescale=cfg.rescale, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP,
-                )
-            ).fit(emb[rows], ids[rows])
-            return j, cm
+            return j, CoreModel(in_cfg).fit(emb[rows], ids[rows])
 
         self.in_cluster = {}
-        with ThreadPoolExecutor(max_workers=self.config.build_workers) as pool:
+        with ThreadPoolExecutor(max_workers=BUILD_WORKERS) as pool:
             for j, cm in pool.map(_build, range(c_actual)):
                 if cm is not None:
                     self.in_cluster[j] = cm
@@ -162,25 +162,15 @@ class LIDER:
         q = np.asarray(q, dtype=np.float32)
         _, c0 = self.config.resolve(self.assignments.shape[0])
         cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
-        targets = [int(j) for j in cluster_ids if int(j) in self.in_cluster]
-
-        def _one(j: int) -> tuple[np.ndarray, np.ndarray]:
-            return self.in_cluster[j].search(q, km=k)
-
-        if self.config.parallel_incluster and len(targets) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-                parts = list(pool.map(_one, targets))
-        else:
-            parts = [_one(j) for j in targets]
+        parts = [
+            self.in_cluster[int(j)].search(q, km=k)
+            for j in cluster_ids if int(j) in self.in_cluster
+        ]
         if not parts:
             return np.empty(0, np.int64), np.empty(0, np.float32)
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
-        kk = min(k, all_ids.size)
-        if kk == 0:
-            return all_ids, all_scores
-        top = np.argpartition(-all_scores, kk - 1)[:kk]
-        top = top[np.argsort(-all_scores[top])]
+        top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
 
     # ------------------------------------------------------------------ stats

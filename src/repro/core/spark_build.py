@@ -69,12 +69,14 @@ def spark_hashkeys(
     h: int,
     bits_by_cluster: dict[int, int],
     base_seed: int,
+    group: int,
 ) -> DataFrame:
     """(id, cluster_id, emb) → (id, cluster_id, array_id, key) for H arrays.
 
-    Workers rebuild each cluster's hyperplanes from (base_seed, cluster_id,
-    array_id) — the same seed keys the NumPy build uses — so keys match
-    bit-for-bit. Keys fit in a signed long (≤50 bits).
+    Workers rebuild each cluster's hyperplanes from (base_seed, group,
+    array_id) — the same seed keys the NumPy build uses, with ``group`` the
+    in-cluster projection-seed group — so keys match bit-for-bit. Keys fit
+    in a signed long (≤50 bits).
     """
     bits_items = sorted(bits_by_cluster.items())
 
@@ -87,10 +89,7 @@ def spark_hashkeys(
                 for a in range(h):
                     hk = hasher_cache.get((cid, a))
                     if hk is None:
-                        # Shared in-cluster seed group (see lider.IN_CLUSTER_GROUP);
-                        # hardcoding its value (0) keeps the worker closure free of
-                        # driver-side imports.
-                        hk = RandomHyperplanes(dim, bits[int(cid)], (base_seed, 0, a))
+                        hk = RandomHyperplanes(dim, bits[int(cid)], (base_seed, group, a))
                         hasher_cache[(cid, a)] = hk
                     keys = hk.keys(x).astype(np.int64)
                     yield pd.DataFrame(
@@ -207,17 +206,15 @@ def build_lider_spark(
     assign_pdf = pd.DataFrame({"id": ids, "cluster_id": assignments})
     df = df.join(spark.createDataFrame(assign_pdf, schema="id long, cluster_id int"), "id")
 
-    in_cfg = CoreModelConfig(
-        h=config.h, width=config.w_incluster, r0=config.r0, b=config.b,
-        pad=config.pad, rescale=config.rescale, base_seed=config.base_seed,
-    )
+    in_cfg = config.core_config(IN_CLUSTER_GROUP)
     sizes = np.bincount(assignments, minlength=centroids.shape[0])
     bits_by_cluster = {
         int(j): in_cfg.hashkey_bits(int(s)) for j, s in enumerate(sizes) if s > 0
     }
 
     keys_df = spark_hashkeys(
-        df, dim=dim, h=config.h, bits_by_cluster=bits_by_cluster, base_seed=config.base_seed
+        df, dim=dim, h=config.h, bits_by_cluster=bits_by_cluster,
+        base_seed=config.base_seed, group=IN_CLUSTER_GROUP,
     )
     loc_df = spark_sorted_locations(keys_df)
     fitted = spark_fit_rmis(
@@ -231,21 +228,16 @@ def build_lider_spark(
     lider = LIDER(config)
     lider.centroids = centroids
     lider.assignments = assignments
-    lider.centroid_retriever = CoreModel(
-        CoreModelConfig(
-            h=config.h, width=config.w_centroids, r0=config.r0, b=config.b,
-            pad=config.pad, rescale=config.rescale, base_seed=config.base_seed,
-            group=CENTROID_GROUP,
-        )
-    ).fit(centroids, np.arange(centroids.shape[0], dtype=np.int64))
-    id_to_row = {int(i): r for r, i in enumerate(ids)}
+    lider.centroid_retriever = CoreModel(config.core_config(CENTROID_GROUP)).fit(
+        centroids, np.arange(centroids.shape[0], dtype=np.int64)
+    )
+    id_order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[id_order]
     for j, rows in by_cluster.items():
-        member_mask = assignments == j
-        member_ids = np.sort(ids[member_mask])
-        member_rows = np.array([id_to_row[int(i)] for i in member_ids], dtype=np.int64)
-        cfg_j = CoreModelConfig(**{**in_cfg.__dict__, "group": IN_CLUSTER_GROUP})
+        member_ids = np.sort(ids[assignments == j])
+        member_rows = id_order[np.searchsorted(sorted_ids, member_ids)]
         lider.in_cluster[int(j)] = assemble_core_model(
-            cfg_j, emb[member_rows], member_ids, rows
+            in_cfg, emb[member_rows], member_ids, rows
         )
     lider.report.stage1_bytes = centroids.nbytes + assignments.nbytes
     lider.report.stage3_bytes = lider.memory_footprint()

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.metrics import top_k
+
 
 def _normalize(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -168,8 +170,5 @@ def exact_topk(corpus_emb: np.ndarray, queries: np.ndarray, k: int) -> np.ndarra
     """
     out = np.empty((queries.shape[0], min(k, corpus_emb.shape[0])), dtype=np.int64)
     for i, q in enumerate(queries):
-        s = corpus_emb @ q
-        kk = min(k, s.shape[0])
-        top = np.argpartition(-s, kk - 1)[:kk]
-        out[i] = top[np.argsort(-s[top])]
+        out[i] = top_k(corpus_emb @ q, k)
     return out

@@ -77,6 +77,16 @@ def recall_at_k(ranked_ids: Sequence[Sequence[int]], truth_ids: Sequence[Sequenc
     return float(np.mean(vals)) if vals else 0.0
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``min(k, n)`` largest ``scores``, descending; empty for
+    k <= 0. The one top-k every index and the ground truth share."""
+    kk = min(k, scores.shape[0])
+    if kk <= 0:
+        return np.empty(0, dtype=np.int64)
+    top = np.argpartition(-scores, kk - 1)[:kk]
+    return top[np.argsort(-scores[top])]
+
+
 def measure_aqt(search_one: Callable[[np.ndarray], Sequence[int]], queries: np.ndarray) -> tuple[list, float]:
     """Run ``search_one`` per query; return (ranked lists, mean seconds/query).
 

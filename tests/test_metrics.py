@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import dcg_at_k, measure_aqt, mrr_at_k, ndcg_at_k, recall_at_k
+from repro.metrics import dcg_at_k, measure_aqt, mrr_at_k, ndcg_at_k, recall_at_k, top_k
 
 
 class TestMRR:
@@ -113,3 +113,21 @@ class TestAQT:
         queries = np.zeros((4, 2))
         measure_aqt(lambda q: calls.append(1) or [], queries)
         assert len(calls) == 4
+
+
+class TestTopK:
+    scores = np.random.default_rng(0).permutation(50).astype(np.float32)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_k_is_empty(self, k):
+        got = top_k(self.scores, k)
+        assert got.size == 0 and got.dtype == np.int64
+
+    def test_k_beyond_n_returns_n(self):
+        assert sorted(top_k(self.scores, 80)) == list(range(50))
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_descending_and_equals_full_argsort(self, k):
+        got = top_k(self.scores, k)
+        assert (np.diff(self.scores[got]) < 0).all()
+        assert np.array_equal(got, np.argsort(-self.scores)[:k])

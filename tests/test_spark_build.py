@@ -4,8 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.core_model import CoreModel, CoreModelConfig
-from repro.core.lider import LIDER, LIDERConfig
+from repro.core.lider import IN_CLUSTER_GROUP, LIDER, LIDERConfig
 from repro.core.spark_build import (
     build_lider_spark,
     cluster_with_spark_kmeans,
@@ -17,7 +16,7 @@ from repro.embeddings.datasets import corpus_to_spark
 from repro.oracle import assert_equivalent
 
 CFG = LIDERConfig(c=8, c0=4)
-IN_CFG = CoreModelConfig(h=CFG.h, width=CFG.w_incluster, pad=CFG.pad)
+IN_CFG = CFG.core_config(IN_CLUSTER_GROUP)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +37,7 @@ def keys_df(spark_df, corpus_small, bits_by_cluster):
     return spark_hashkeys(
         spark_df, dim=corpus_small.dim, h=CFG.h,
         bits_by_cluster=bits_by_cluster, base_seed=CFG.base_seed,
+        group=IN_CLUSTER_GROUP,
     ).cache()
 
 
