@@ -16,6 +16,7 @@ expansion): what Table 3 times as the "average ESK-LSH expansion time".
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray
 from repro.metrics import top_k
 from repro.rmi.rescale import KeyRescaler
-from repro.rmi.rmi import SimplifiedRMI
+from repro.rmi.rmi import LinearModel, SimplifiedRMI
 
 
 @dataclass
@@ -95,24 +96,59 @@ class CoreModel:
         self._stack_params()
         return self
 
+    # ------------------------------------------------------------ persistence
+    def to_params(self) -> dict[str, np.ndarray]:
+        """The fitted model as plain arrays, without the embeddings.
+
+        ``ids`` (n,), ``keys`` and ``rows`` (H, L) in their storage dtypes,
+        ``key_range`` (H, 2) the rescaler's (min, max), and ``rmi``
+        (H, 1+W, 3) the (a, b, x_mean) of each array's root then children.
+        The one codec of a core model: the Spark build ships it from the
+        workers and the DataSource stores it, both as ``np.savez``.
+        """
+        us = self.units
+        return {
+            "ids": self.ids,
+            "keys": np.stack([u.array.keys for u in us]),
+            "rows": np.stack([u.array.rows for u in us]),
+            "key_range": np.array(
+                [[u.rescaler.key_min, u.rescaler.key_max] for u in us], dtype=np.float64
+            ),
+            "rmi": np.array(
+                [[(m.a, m.b, m.x_mean) for m in (u.rmi.root, *u.rmi.children)] for u in us],
+                dtype=np.float64,
+            ),
+        }
+
     @classmethod
-    def from_parts(
-        cls,
-        config: CoreModelConfig,
-        emb: np.ndarray,
-        ids: np.ndarray,
-        units: list[ArrayUnit],
+    def from_params(
+        cls, config: CoreModelConfig, p: Mapping[str, np.ndarray], emb: np.ndarray
     ) -> "CoreModel":
-        """Assemble a core model from externally built parts (Spark build)."""
+        """Inverse of :meth:`to_params`; ``emb`` rows align with ``p["ids"]``."""
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
-        cm.ids = np.asarray(ids, dtype=np.int64)
-        m = config.hashkey_bits(cm.emb.shape[0])
+        cm.ids = np.asarray(p["ids"], dtype=np.int64)
+        n = cm.ids.shape[0]
+        if cm.emb.shape[0] != n:
+            raise ValueError("ids must align with embeddings")
+        keys, rows, key_range, rmi = p["keys"], p["rows"], p["key_range"], p["rmi"]
+        h = config.h
+        if (keys.shape, rows.shape, key_range.shape, rmi.shape) != (
+            (h, n), (h, n), (h, 2), (h, 1 + config.width, 3)
+        ):
+            raise ValueError("core-model params do not match the config")
+        m = config.hashkey_bits(n)
         cm.esklsh = ESKLSH(
-            cm.emb.shape[1], m, config.h, base_seed=config.base_seed, group=config.group
+            cm.emb.shape[1], m, h, base_seed=config.base_seed, group=config.group
         )
-        cm.esklsh.arrays = [u.array for u in units]
-        cm.units = units
+        for arr_keys, arr_rows, (k_min, k_max), rmi_p in zip(keys, rows, key_range, rmi):
+            rescaler = KeyRescaler(n, enabled=config.rescale)
+            rescaler.key_min, rescaler.key_max = float(k_min), float(k_max)
+            model = SimplifiedRMI(config.width, n)
+            model.root, *model.children = [LinearModel(*map(float, row)) for row in rmi_p]
+            array = SortedKeyArray(arr_keys, arr_rows, m_bits=m)
+            cm.units.append(ArrayUnit(array, rescaler, model))
+        cm.esklsh.arrays = [u.array for u in cm.units]
         cm._stack_params()
         return cm
 

@@ -3,11 +3,19 @@
 Layout written by :func:`save_lider_index`::
 
     <path>/embeddings/cluster_id=<j>/*.parquet   # (id, emb) per cluster
-    <path>/index/meta.json                       # config, k defaults
-    <path>/index/centroid_retriever.pkl          # Layer-1 core model
-    <path>/index/cluster_<j>.pkl                 # Layer-2 core models
+    <path>/index/meta.json                       # format_version, config,
+                                                 # clusters, c0, default_k
+    <path>/index/centroid_retriever.npz          # Layer-1 core model + the
+                                                 # centroids it indexes
+    <path>/index/cluster_<j>.npz                 # Layer-2 core models
                                                  # (embedding-free: data
                                                  #  stays in Parquet only)
+
+Every ``.npz`` holds the plain arrays of ``CoreModel.to_params``;
+``np.load`` reads them with its default, which refuses object arrays.
+``meta.json`` carries ``format_version`` (readers reject any other
+version) and the ``LIDERConfig`` fields that rebuild each model's
+``CoreModelConfig``.
 
 Read path (``spark.read.format("lider")``):
 
@@ -15,19 +23,20 @@ Read path (``spark.read.format("lider")``):
   the **centroids retriever at planning time** and emits one
   ``InputPartition`` per target cluster — index-driven partition pruning,
   the ANN analogue of predicate pushdown. Executors load their cluster's
-  Parquet file + pickled in-cluster retriever, run the core-model search,
+  Parquet file + in-cluster retriever, run the core-model search,
   and return (id, cluster_id, score, rank) rows; a plain
   ``ORDER BY score DESC LIMIT k`` in Catalyst merges the per-cluster
   top-k — LIDER's stage-3 heap merge expressed as a dataflow.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
   (classic DSv2 pushdown) to prune partitions on full scans.
-* Without a query, all clusters are scanned (score is NULL, rank −1).
+* Without a query, all clusters are scanned (score is NULL, rank −1); the
+  scan reads only the ids and loads no model.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import pickle
 
 import numpy as np
 
@@ -40,15 +49,19 @@ from pyspark.sql.datasource import (
 )
 from pyspark.sql.types import StructType
 
+from repro.core.core_model import CoreModel
+from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDERConfig
+
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
+FORMAT_VERSION = 1
 
 
 def save_lider_index(lider, path: str) -> None:
     """Persist a fitted LIDER plus its corpus to the on-disk layout above.
 
     Embeddings are written once (Parquet, partitioned by cluster); the
-    pickled in-cluster retrievers are stripped of their embedding matrices
-    so the Parquet files remain the single copy of the data.
+    in-cluster retrievers' ``.npz`` files hold no embeddings, so the
+    Parquet files remain the single copy of the data.
     """
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -60,41 +73,30 @@ def save_lider_index(lider, path: str) -> None:
     for j, cm in lider.in_cluster.items():
         part_dir = os.path.join(emb_dir, f"cluster_id={j}")
         os.makedirs(part_dir, exist_ok=True)
+        n, d = cm.emb.shape
+        offsets = pa.array(np.arange(n + 1, dtype=np.int32) * d)
         table = pa.table(
             {
                 "id": pa.array(cm.ids, type=pa.int64()),
-                "emb": pa.array([row.tolist() for row in cm.emb], type=pa.list_(pa.float32())),
+                "emb": pa.ListArray.from_arrays(offsets, pa.array(cm.emb.ravel())),
             }
         )
         pq.write_table(table, os.path.join(part_dir, "part-0.parquet"))
-        stripped = pickle.loads(pickle.dumps(cm))  # deep copy, then drop data
-        stripped.emb = None
-        with open(os.path.join(idx_dir, f"cluster_{j}.pkl"), "wb") as f:
-            pickle.dump(stripped, f)
-    with open(os.path.join(idx_dir, "centroid_retriever.pkl"), "wb") as f:
-        pickle.dump(lider.centroid_retriever, f)
+        np.savez(os.path.join(idx_dir, f"cluster_{j}.npz"), **cm.to_params())
+    cr = lider.centroid_retriever
+    np.savez(os.path.join(idx_dir, "centroid_retriever.npz"), emb=cr.emb, **cr.to_params())
     _, c0 = lider.config.resolve(lider.assignments.shape[0])
     with open(os.path.join(idx_dir, "meta.json"), "w") as f:
         json.dump(
             {
+                "format_version": FORMAT_VERSION,
+                "config": dataclasses.asdict(lider.config),
                 "clusters": sorted(int(j) for j in lider.in_cluster),
                 "c0": int(c0),
                 "default_k": 100,
             },
             f,
         )
-
-
-def _load_cluster_embeddings(path: str, j: int, ids: np.ndarray) -> np.ndarray:
-    """Read one cluster's Parquet and align rows to the retriever's ids."""
-    import pyarrow.parquet as pq
-
-    table = pq.read_table(os.path.join(path, "embeddings", f"cluster_id={j}"))
-    file_ids = table.column("id").to_numpy()
-    emb = np.vstack(table.column("emb").to_pylist()).astype(np.float32)
-    order = {int(i): r for r, i in enumerate(file_ids)}
-    rows = np.array([order[int(i)] for i in ids], dtype=np.int64)
-    return emb[rows]
 
 
 class LiderReader(DataSourceReader):
@@ -128,14 +130,22 @@ class LiderReader(DataSourceReader):
 
     def _meta(self) -> dict:
         with open(os.path.join(self.path, "index", "meta.json")) as f:
-            return json.load(f)
+            meta = json.load(f)
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"lider index {self.path} has format_version {version!r}; this "
+                f"reader reads format_version {FORMAT_VERSION}: save the index again"
+            )
+        return meta
 
     def partitions(self):
         meta = self._meta()
         clusters = meta["clusters"]
         if self.query is not None:
-            with open(os.path.join(self.path, "index", "centroid_retriever.pkl"), "rb") as f:
-                cr = pickle.load(f)
+            cfg = LIDERConfig(**meta["config"]).core_config(CENTROID_GROUP)
+            with np.load(os.path.join(self.path, "index", "centroid_retriever.npz")) as p:
+                cr = CoreModel.from_params(cfg, p, p["emb"])
             c0 = self.c0 or meta["c0"]
             targets, _ = cr.search(self.query, km=c0)
             clusters = [int(j) for j in targets if int(j) in set(clusters)]
@@ -144,17 +154,28 @@ class LiderReader(DataSourceReader):
         return [InputPartition(int(j)) for j in clusters]
 
     def read(self, partition: InputPartition):
+        import pyarrow.parquet as pq
+
         j = int(partition.value)
-        with open(os.path.join(self.path, "index", f"cluster_{j}.pkl"), "rb") as f:
-            cm = pickle.load(f)
-        cm.emb = _load_cluster_embeddings(self.path, j, cm.ids)
+        columns = ["id"] if self.query is None else ["id", "emb"]
+        table = pq.read_table(
+            os.path.join(self.path, "embeddings", f"cluster_id={j}"), columns=columns
+        )
+        ids = table.column("id").to_numpy()
         if self.query is None:
-            for pid in cm.ids:
+            for pid in ids:
                 yield (int(pid), j, None, -1)
             return
-        k = self.k or self._meta()["default_k"]
-        ids, scores = cm.search(self.query, km=k)
-        for rank, (pid, s) in enumerate(zip(ids, scores)):
+        meta = self._meta()
+        emb = table.column("emb").combine_chunks().flatten().to_numpy().reshape(len(ids), -1)
+        cfg = LIDERConfig(**meta["config"]).core_config(IN_CLUSTER_GROUP)
+        with np.load(os.path.join(self.path, "index", f"cluster_{j}.npz")) as p:
+            if not np.array_equal(p["ids"], ids):
+                raise ValueError(f"cluster {j}: Parquet ids differ from the index ids")
+            cm = CoreModel.from_params(cfg, p, emb)
+        k = self.k or meta["default_k"]
+        top_ids, scores = cm.search(self.query, km=k)
+        for rank, (pid, s) in enumerate(zip(top_ids, scores)):
             yield (int(pid), j, float(s), rank)
 
 

@@ -1,4 +1,7 @@
-"""Tests for the core model (§3.1/§3.3.1): build, prediction, search."""
+"""Tests for the core model (§3.1/§3.3.1): build, prediction, search, and
+its one parameter codec."""
+import io
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,41 @@ class TestSearch:
         r_few = recall_at_k([few.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
         r_many = recall_at_k([many.search(q, 50)[0] for q in queries_small.emb], truth_small, 50)
         assert r_many >= r_few
+
+
+class TestParams:
+    @pytest.mark.parametrize("group", [0, -1])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_npz_round_trip(self, rescale, group, corpus_small, queries_small):
+        cfg = CoreModelConfig(h=6, rescale=rescale, group=group)
+        cm = CoreModel(cfg).fit(corpus_small.emb)
+        buf = io.BytesIO()
+        np.savez(buf, **cm.to_params())
+        buf.seek(0)
+        with np.load(buf) as p:
+            back = CoreModel.from_params(cfg, p, corpus_small.emb)
+        want, got = cm.to_params(), back.to_params()
+        assert want.keys() == got.keys()
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype
+            assert np.array_equal(got[name], arr)
+        for q in queries_small.emb[:10]:
+            ids_a, sc_a = cm.search(q, 20)
+            ids_b, sc_b = back.search(q, 20)
+            assert np.array_equal(ids_a, ids_b)
+            assert np.array_equal(sc_a, sc_b)
+        assert back.nbytes == cm.nbytes
+        assert back._use_fused == cm._use_fused
+
+    def test_params_of_another_config_rejected(self, corpus_small):
+        cm = CoreModel(CoreModelConfig(h=6)).fit(corpus_small.emb)
+        with pytest.raises(ValueError, match="do not match"):
+            CoreModel.from_params(CoreModelConfig(h=4), cm.to_params(), corpus_small.emb)
+
+    def test_misaligned_embeddings_rejected(self, corpus_small):
+        cm = CoreModel(CoreModelConfig(h=6)).fit(corpus_small.emb)
+        with pytest.raises(ValueError, match="align"):
+            CoreModel.from_params(cm.config, cm.to_params(), corpus_small.emb[:-1])
 
 
 class TestStats:

@@ -2,14 +2,17 @@
 centroids retriever, cluster_id filter pushdown, and result equality with
 the in-memory index."""
 import json
+import os
+import shutil
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from repro.core.lider import LIDER, LIDERConfig
 from repro.datasource import register_lider_source, save_lider_index
-from repro.datasource.lider_source import LiderReader, ann_search_df
-from pyspark.sql.datasource import EqualTo, GreaterThan, In
+from repro.datasource.lider_source import FORMAT_VERSION, LiderReader, ann_search_df
+from pyspark.sql.datasource import EqualTo, GreaterThan, In, InputPartition
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +34,76 @@ def spark_registered(spark):
 
 class TestLayout:
     def test_files_written(self, saved_index):
-        import os
-
         path, lider = saved_index
-        assert os.path.exists(os.path.join(path, "index", "meta.json"))
-        assert os.path.exists(os.path.join(path, "index", "centroid_retriever.pkl"))
+        idx = os.path.join(path, "index")
+        assert os.path.exists(os.path.join(idx, "meta.json"))
+        assert os.path.exists(os.path.join(idx, "centroid_retriever.npz"))
         for j in lider.in_cluster:
-            assert os.path.exists(os.path.join(path, "index", f"cluster_{j}.pkl"))
+            assert os.path.exists(os.path.join(idx, f"cluster_{j}.npz"))
             assert os.path.isdir(os.path.join(path, "embeddings", f"cluster_id={j}"))
+        written = [f for _, _, files in os.walk(path) for f in files]
+        assert not [f for f in written if f.endswith(".pkl")]
 
-    def test_pickles_are_embedding_free(self, saved_index):
-        import os
-        import pickle
-
+    def test_cluster_files_are_embedding_free(self, saved_index):
         path, lider = saved_index
-        j = next(iter(lider.in_cluster))
-        with open(os.path.join(path, "index", f"cluster_{j}.pkl"), "rb") as f:
-            cm = pickle.load(f)
-        assert cm.emb is None and cm.ids is not None
+        for j in lider.in_cluster:
+            with np.load(os.path.join(path, "index", f"cluster_{j}.npz")) as p:
+                assert "emb" not in p.files and "ids" in p.files
+        with np.load(os.path.join(path, "index", "centroid_retriever.npz")) as p:
+            assert np.array_equal(p["emb"], lider.centroids)
+
+    def test_meta_records_version_and_config(self, saved_index):
+        path, lider = saved_index
+        with open(os.path.join(path, "index", "meta.json")) as f:
+            meta = json.load(f)
+        assert meta["format_version"] == FORMAT_VERSION
+        assert LIDERConfig(**meta["config"]) == lider.config
+
+
+def _copy_index(saved_index, tmp_path) -> str:
+    path = str(tmp_path / "copy")
+    shutil.copytree(saved_index[0], path)
+    return path
+
+
+class TestFormatSafety:
+    @pytest.mark.parametrize("version", [None, FORMAT_VERSION + 1])
+    def test_other_format_version_rejected(self, saved_index, tmp_path, version):
+        path = _copy_index(saved_index, tmp_path)
+        meta_path = os.path.join(path, "index", "meta.json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        if version is None:
+            del meta["format_version"]
+        else:
+            meta["format_version"] = version
+        with open(meta_path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(ValueError, match=f"format_version {version!r}"):
+            LiderReader({"path": path}).partitions()
+
+    def test_parquet_ids_must_equal_index_ids(self, saved_index, tmp_path, queries_small):
+        import pyarrow.parquet as pq
+
+        path = _copy_index(saved_index, tmp_path)
+        j = next(iter(saved_index[1].in_cluster))
+        part = os.path.join(path, "embeddings", f"cluster_id={j}", "part-0.parquet")
+        table = pq.read_table(part)
+        table = table.set_column(0, "id", pa.array(table.column("id").to_numpy()[::-1]))
+        pq.write_table(table, part)
+        query = json.dumps([float(x) for x in queries_small.emb[0]])
+        reader = LiderReader({"path": path, "query": query})
+        with pytest.raises(ValueError, match="ids differ"):
+            list(reader.read(InputPartition(j)))
+
+    def test_full_scan_loads_no_model(self, saved_index, tmp_path):
+        path = _copy_index(saved_index, tmp_path)
+        lider = saved_index[1]
+        for j in lider.in_cluster:
+            os.remove(os.path.join(path, "index", f"cluster_{j}.npz"))
+        reader = LiderReader({"path": path})
+        rows = [r for p in reader.partitions() for r in reader.read(p)]
+        assert sorted(r[0] for r in rows) == list(range(lider.assignments.shape[0]))
 
 
 class TestReaderPlanning:

@@ -1,5 +1,8 @@
-"""Tests for the distributed (Spark dataflow) LIDER build: every stage is
-checked against the driver-side NumPy build and/or a DuckDB oracle."""
+"""Tests for the distributed (Spark) LIDER build: the per-cluster fit is
+checked against a DuckDB window oracle, and the whole build against the
+driver-side NumPy build."""
+import io
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,8 +12,6 @@ from repro.core.spark_build import (
     build_lider_spark,
     cluster_with_spark_kmeans,
     spark_fit_rmis,
-    spark_hashkeys,
-    spark_sorted_locations,
 )
 from repro.embeddings.datasets import corpus_to_spark
 from repro.oracle import assert_equivalent
@@ -26,61 +27,36 @@ def spark_df(spark, corpus_small, clustered_small):
 
 
 @pytest.fixture(scope="module")
-def bits_by_cluster(clustered_small):
-    _, assign = clustered_small
-    sizes = np.bincount(assign, minlength=8)
-    return {int(j): IN_CFG.hashkey_bits(int(s)) for j, s in enumerate(sizes) if s > 0}
+def fitted(spark_df):
+    """cluster_id → the decoded params of its Spark-fitted retriever."""
+    out = {}
+    for row in spark_fit_rmis(spark_df, config=IN_CFG).collect():
+        with np.load(io.BytesIO(row["params"])) as p:
+            out[int(row["cluster_id"])] = dict(p)
+    return out
 
 
-@pytest.fixture(scope="module")
-def keys_df(spark_df, corpus_small, bits_by_cluster):
-    return spark_hashkeys(
-        spark_df, dim=corpus_small.dim, h=CFG.h,
-        bits_by_cluster=bits_by_cluster, base_seed=CFG.base_seed,
-        group=IN_CLUSTER_GROUP,
-    ).cache()
-
-
-class TestSparkHashkeys:
-    def test_row_count(self, keys_df, corpus_small):
-        assert keys_df.count() == corpus_small.n * CFG.h
-
-    def test_keys_match_driver_hashers(self, keys_df, corpus_small, clustered_small, bits_by_cluster):
-        from repro.lsh.projections import RandomHyperplanes
-
+class TestSparkFit:
+    def test_one_row_per_nonempty_cluster(self, fitted, clustered_small):
         _, assign = clustered_small
-        pdf = keys_df.toPandas()
-        for (cid, a), grp in list(pdf.groupby(["cluster_id", "array_id"]))[:6]:
-            hasher = RandomHyperplanes(
-                corpus_small.dim, bits_by_cluster[int(cid)], (CFG.base_seed, 0, int(a))
-            )
-            rows = grp["id"].to_numpy()
-            expected = hasher.keys(corpus_small.emb[rows]).astype(np.int64)
-            assert np.array_equal(grp["key"].to_numpy(), expected)
+        assert sorted(fitted) == sorted(int(j) for j in np.unique(assign))
+        for j, p in fitted.items():
+            assert np.array_equal(p["ids"], np.flatnonzero(assign == j))
 
-    def test_keys_fit_in_long(self, keys_df):
-        assert keys_df.filter("key < 0").count() == 0
-
-
-class TestSparkLocations:
-    def test_locations_dense_per_group(self, keys_df, clustered_small):
-        _, assign = clustered_small
-        loc_df = spark_sorted_locations(keys_df)
-        pdf = loc_df.toPandas()
-        for (cid, a), grp in list(pdf.groupby(["cluster_id", "array_id"]))[:4]:
-            locs = np.sort(grp["loc"].to_numpy())
-            assert np.array_equal(locs, np.arange(len(grp)))
-
-    def test_order_matches_key_then_id(self, keys_df):
-        pdf = spark_sorted_locations(keys_df).toPandas()
-        for (cid, a), grp in list(pdf.groupby(["cluster_id", "array_id"]))[:4]:
-            grp = grp.sort_values("loc")
-            tup = list(zip(grp["key"], grp["id"]))
-            assert tup == sorted(tup)
-
-    def test_locations_match_duckdb_window_oracle(self, spark, keys_df):
-        """Spark row_number == DuckDB ROW_NUMBER over the same ordering."""
-        got = spark_sorted_locations(keys_df).select("id", "cluster_id", "array_id", "loc")
+    def test_arrays_match_duckdb_window_oracle(self, spark, fitted):
+        """Each array's location order == DuckDB ROW_NUMBER over (key, id)."""
+        parts = []
+        for j, p in fitted.items():
+            for a, (keys, rows) in enumerate(zip(p["keys"], p["rows"])):
+                parts.append(pd.DataFrame({
+                    "id": p["ids"][rows],
+                    "cluster_id": j,
+                    "array_id": a,
+                    "key": keys.astype(np.int64),
+                    "loc": np.arange(len(keys), dtype=np.int64),
+                }))
+        built = pd.concat(parts, ignore_index=True)
+        got = spark.createDataFrame(built[["id", "cluster_id", "array_id", "loc"]])
         sql = """
             SELECT id, cluster_id, array_id,
                    ROW_NUMBER() OVER (
@@ -88,35 +64,7 @@ class TestSparkLocations:
                    ) - 1 AS loc
             FROM hashkeys
         """
-        assert_equivalent(got, sql, hashkeys=keys_df.toPandas())
-
-
-class TestSparkRMIFit:
-    def test_one_row_per_group(self, keys_df, bits_by_cluster):
-        fitted = spark_fit_rmis(
-            spark_sorted_locations(keys_df), width=CFG.w_incluster, rescale=True
-        )
-        assert fitted.count() == len(bits_by_cluster) * CFG.h
-
-    def test_params_match_driver_fit(self, keys_df, corpus_small, clustered_small):
-        import json
-
-        from repro.rmi.rescale import KeyRescaler
-        from repro.rmi.rmi import SimplifiedRMI
-
-        fitted = spark_fit_rmis(
-            spark_sorted_locations(keys_df), width=CFG.w_incluster, rescale=True
-        ).collect()
-        row = next(r for r in fitted if r["cluster_id"] == 0 and r["array_id"] == 0)
-        keys = np.asarray(row["sorted_keys"], dtype=np.int64).astype(np.uint64)
-        n = keys.shape[0]
-        rescaler = KeyRescaler(n).fit(keys)
-        rmi = SimplifiedRMI(CFG.w_incluster, n).fit(
-            rescaler.transform(keys), np.arange(n, dtype=np.float64)
-        )
-        got = json.loads(row["params"])
-        assert got["rescaler"] == rescaler.to_params()
-        assert got["rmi"] == rmi.to_params()
+        assert_equivalent(got, sql, hashkeys=built[["id", "cluster_id", "array_id", "key"]])
 
 
 class TestEndToEnd:
@@ -128,21 +76,29 @@ class TestEndToEnd:
         dist = build_lider_spark(
             spark, corpus_small.emb, config=CFG, assignments=assign, centroids=cents
         )
+        assert np.array_equal(dist.assignments, driver.assignments)
+        assert dist.memory_footprint() == driver.memory_footprint()
+        assert sorted(dist.in_cluster) == sorted(driver.in_cluster)
         for j, cm in driver.in_cluster.items():
             other = dist.in_cluster[j]
             assert np.array_equal(cm.ids, other.ids)
             for ua, ub in zip(cm.units, other.units):
                 assert np.array_equal(ua.array.keys, ub.array.keys)
+                assert ua.array.keys.dtype == ub.array.keys.dtype
                 assert np.array_equal(ua.array.rows, ub.array.rows)
-                assert ua.rmi.to_params() == ub.rmi.to_params()
+                assert (ua.rmi.root, ua.rmi.children) == (ub.rmi.root, ub.rmi.children)
+                assert (ua.rescaler.key_min, ua.rescaler.key_max, ua.rescaler.enabled) == (
+                    ub.rescaler.key_min, ub.rescaler.key_max, ub.rescaler.enabled
+                )
         for q in queries_small.emb[:15]:
             ids_a, sc_a = driver.search(q, 30)
             ids_b, sc_b = dist.search(q, 30)
             assert np.array_equal(ids_a, ids_b)
-            assert sc_a == pytest.approx(sc_b)
+            assert np.array_equal(sc_a, sc_b)
 
     def test_spark_kmeans_build_searches_sensibly(self, spark, corpus_small, queries_small):
         idx = build_lider_spark(spark, corpus_small.emb, config=CFG)
+        assert idx.assignments.min() >= 0
         hits = sum(
             int(t) in idx.search(q, 100)[0]
             for q, t in zip(queries_small.emb[:20], queries_small.target[:20])
