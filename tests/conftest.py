@@ -4,6 +4,8 @@ The session-scoped ``spark`` fixture comes from the repo-root conftest.
 Everything here is sized for unit tests (corpora ≤ a few thousand
 vectors); benchmarks use the larger named datasets.
 """
+import io
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,28 @@ def lider_small(corpus_small) -> LIDER:
 def clustered_small(corpus_small):
     """(centroids, assignments) for tests that need to inject Stage 1."""
     return spherical_kmeans(corpus_small.emb, 8, seed=1234)
+
+
+@pytest.fixture(scope="session")
+def unit_through_codec():
+    """Round-trip one array unit through the core-model codec.
+
+    ``unit_through_codec(n, rescale=..., rescaler=..., rmi=...)`` fits a
+    one-array core model on ``n`` random vectors, swaps in the given
+    rescaler / RMI, writes ``to_params`` with ``np.savez``, reads it back
+    through ``from_params`` and returns the rebuilt unit.
+    """
+
+    def run(n: int, *, rescale: bool = True, **fields):
+        emb = np.random.default_rng(0).standard_normal((n, 8)).astype(np.float32)
+        cfg = CoreModelConfig(h=1, rescale=rescale)
+        cm = CoreModel(cfg).fit(emb)
+        for name, value in fields.items():
+            setattr(cm.units[0], name, value)
+        buf = io.BytesIO()
+        np.savez(buf, **cm.to_params())
+        buf.seek(0)
+        with np.load(buf, allow_pickle=False) as p:
+            return CoreModel.from_params(cfg, p, emb).units[0]
+
+    return run

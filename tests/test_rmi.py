@@ -50,6 +50,14 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             LinearModel.fit(np.arange(3.0), np.arange(4.0), l_ref=10)
 
+    def test_params_roundtrip(self, unit_through_codec):
+        m = LinearModel(a=1.5, b=-2.0, x_mean=7.0)
+        rmi = SimplifiedRMI(5, 100)
+        rmi.root, rmi.children = m, [m] * 5
+        m2 = unit_through_codec(100, rmi=rmi).rmi.root
+        x = np.linspace(-5, 5, 7)
+        assert np.array_equal(m.predict(x), m2.predict(x))
+
     def test_predictions_always_finite(self):
         m = LinearModel(a=1e30, b=0.0, x_mean=0.0)
         out = m.predict(np.array([1e30, -1e30, 0.0]))
@@ -154,6 +162,12 @@ class TestSimplifiedRMI:
         err_n = np.abs(narrow.predict_location(keys) - np.arange(n)).mean()
         err_w = np.abs(wide.predict_location(keys) - np.arange(n)).mean()
         assert err_w <= err_n * 1.1
+
+    def test_params_roundtrip(self, unit_through_codec):
+        rmi, keys = self._fit()
+        rmi2 = unit_through_codec(1000, rmi=rmi).rmi
+        probe = np.linspace(0, 999, 57)
+        assert np.array_equal(rmi.predict_location(probe), rmi2.predict_location(probe))
 
     def test_nbytes(self):
         rmi, _ = self._fit(width=5)

@@ -36,6 +36,13 @@ def fitted(spark_df):
     return out
 
 
+@pytest.fixture(scope="module")
+def bits_by_cluster(clustered_small):
+    _, assign = clustered_small
+    sizes = np.bincount(assign, minlength=8)
+    return {int(j): IN_CFG.hashkey_bits(int(s)) for j, s in enumerate(sizes) if s > 0}
+
+
 class TestSparkFit:
     def test_one_row_per_nonempty_cluster(self, fitted, clustered_small):
         _, assign = clustered_small
@@ -43,7 +50,41 @@ class TestSparkFit:
         for j, p in fitted.items():
             assert np.array_equal(p["ids"], np.flatnonzero(assign == j))
 
-    def test_arrays_match_duckdb_window_oracle(self, spark, fitted):
+
+class TestSparkHashkeys:
+    def test_row_count(self, fitted, corpus_small):
+        assert sum(p["keys"].size for p in fitted.values()) == corpus_small.n * CFG.h
+
+    def test_keys_match_driver_hashers(self, fitted, corpus_small, bits_by_cluster):
+        from repro.lsh.projections import RandomHyperplanes
+
+        for cid, p in list(fitted.items())[:2]:
+            for a in range(3):
+                hasher = RandomHyperplanes(
+                    corpus_small.dim, bits_by_cluster[cid], (CFG.base_seed, 0, a)
+                )
+                rows = p["ids"][p["rows"][a]]
+                expected = hasher.keys(corpus_small.emb[rows])
+                assert np.array_equal(p["keys"][a], expected)
+
+    def test_keys_fit_in_long(self, fitted):
+        for p in fitted.values():
+            assert (p["keys"].astype(np.uint64) < np.uint64(2**63)).all()
+
+
+class TestSparkLocations:
+    def test_locations_dense_per_group(self, fitted):
+        for p in fitted.values():
+            for rows in p["rows"]:
+                assert np.array_equal(np.sort(rows), np.arange(len(p["ids"])))
+
+    def test_order_matches_key_then_id(self, fitted):
+        for p in list(fitted.values())[:4]:
+            for keys, rows in zip(p["keys"], p["rows"]):
+                tup = list(zip(keys.tolist(), p["ids"][rows].tolist()))
+                assert tup == sorted(tup)
+
+    def test_locations_match_duckdb_window_oracle(self, spark, fitted):
         """Each array's location order == DuckDB ROW_NUMBER over (key, id)."""
         parts = []
         for j, p in fitted.items():
@@ -65,6 +106,27 @@ class TestSparkFit:
             FROM hashkeys
         """
         assert_equivalent(got, sql, hashkeys=built[["id", "cluster_id", "array_id", "key"]])
+
+
+class TestSparkRMIFit:
+    def test_one_row_per_group(self, fitted, bits_by_cluster):
+        n_arrays = sum(p["rmi"].shape[0] for p in fitted.values())
+        assert n_arrays == len(bits_by_cluster) * CFG.h
+
+    def test_params_match_driver_fit(self, fitted):
+        from repro.rmi.rescale import KeyRescaler
+        from repro.rmi.rmi import SimplifiedRMI
+
+        p = fitted[0]
+        keys = p["keys"][0]
+        n = keys.shape[0]
+        rescaler = KeyRescaler(n).fit(keys)
+        rmi = SimplifiedRMI(CFG.w_incluster, n).fit(
+            rescaler.transform(keys), np.arange(n, dtype=np.float64)
+        )
+        assert p["key_range"][0].tolist() == [rescaler.key_min, rescaler.key_max]
+        want = [(m.a, m.b, m.x_mean) for m in (rmi.root, *rmi.children)]
+        assert [tuple(r) for r in p["rmi"][0].tolist()] == want
 
 
 class TestEndToEnd:
