@@ -12,6 +12,13 @@ R = r0·km on each array → union of candidates → exact scoring → top-km.
 
 ``candidate_rows`` is steps (1)+(3)+(4) (hashkey generation, prediction,
 expansion): what Table 3 times as the "average ESK-LSH expansion time".
+
+``search``, ``candidate_rows`` and ``predict_locations`` take optional
+``q_keys``: the (H,) query hashkeys when the caller has hashed the query
+already. LIDER hashes each query once at ``MAX_BITS`` with the plane stack
+all in-cluster retrievers share and passes every probed cluster the
+``full >> (MAX_BITS - M)`` prefix, which equals that cluster's own
+``esklsh.query_keys(q)``. Without ``q_keys`` the model hashes for itself.
 """
 from __future__ import annotations
 
@@ -110,7 +117,7 @@ class CoreModel:
         return {
             "ids": self.ids,
             "keys": np.stack([u.array.keys for u in us]),
-            "rows": np.stack([u.array.rows for u in us]),
+            "rows": self.esklsh.rows,
             "key_range": np.array(
                 [[u.rescaler.key_min, u.rescaler.key_max] for u in us], dtype=np.float64
             ),
@@ -140,15 +147,13 @@ class CoreModel:
         m = config.hashkey_bits(n)
         cm.esklsh = ESKLSH(
             cm.emb.shape[1], m, h, base_seed=config.base_seed, group=config.group
-        )
-        for arr_keys, arr_rows, (k_min, k_max), rmi_p in zip(keys, rows, key_range, rmi):
+        ).set_arrays(keys, rows)
+        for array, (k_min, k_max), rmi_p in zip(cm.esklsh.arrays, key_range, rmi):
             rescaler = KeyRescaler(n, enabled=config.rescale)
             rescaler.key_min, rescaler.key_max = float(k_min), float(k_max)
             model = SimplifiedRMI(config.width, n)
             model.root, *model.children = [LinearModel(*map(float, row)) for row in rmi_p]
-            array = SortedKeyArray(arr_keys, arr_rows, m_bits=m)
             cm.units.append(ArrayUnit(array, rescaler, model))
-        cm.esklsh.arrays = [u.array for u in cm.units]
         cm._stack_params()
         return cm
 
@@ -190,12 +195,16 @@ class CoreModel:
         )
 
     # ----------------------------------------------------------------- search
-    def predict_locations(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_locations(
+        self, q: np.ndarray, q_keys: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(H,) query hashkeys and (H,) RMI-predicted locations (vectorised
-        over the H arrays; equal to the per-unit reference, see tests)."""
+        over the H arrays; equal to the per-unit reference, see tests).
+        ``q_keys``, when given, are this model's hashkeys of ``q``."""
         if not self._use_fused:
-            return self.predict_locations_reference(q)
-        q_keys = self.esklsh.query_keys(q)
+            return self.predict_locations_reference(q, q_keys)
+        if q_keys is None:
+            q_keys = self.esklsh.query_keys(q)
         x = q_keys.astype(np.float64)
         lmax = self._l - 1.0
         root = np.clip(self._f_root_a * x + self._f_root_b, 0, lmax)
@@ -204,26 +213,34 @@ class CoreModel:
         locs = np.clip(np.rint(pred), 0, lmax).astype(np.int64)
         return q_keys, locs
 
-    def predict_locations_reference(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_locations_reference(
+        self, q: np.ndarray, q_keys: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-unit (unstacked) prediction path — the readable reference
         implementation, and the path of models whose fused constants are
         unsafe; tests assert it matches the fused path."""
-        q_keys = self.esklsh.query_keys(q)
+        if q_keys is None:
+            q_keys = self.esklsh.query_keys(q)
         locs = np.empty(len(self.units), dtype=np.int64)
         for i, unit in enumerate(self.units):
             rmi_key = unit.rescaler.transform(np.array([q_keys[i]], dtype=np.uint64))
             locs[i] = unit.rmi.predict_location(rmi_key)[0]
         return q_keys, locs
 
-    def candidate_rows(self, q: np.ndarray, km: int) -> np.ndarray:
-        """Steps 1–4 of the core-model search: hash, predict, expand."""
-        _, locs = self.predict_locations(q)
+    def candidate_rows(
+        self, q: np.ndarray, km: int, q_keys: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Steps 1–4 of the core-model search: hash (unless ``q_keys`` is
+        given), predict, expand."""
+        _, locs = self.predict_locations(q, q_keys)
         return self.esklsh.candidate_rows(locs, max(1, self.config.r0 * km))
 
-    def search(self, q: np.ndarray, km: int) -> tuple[np.ndarray, np.ndarray]:
+    def search(
+        self, q: np.ndarray, km: int, q_keys: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Top-km (external ids, cosine scores), scores descending."""
         q = np.asarray(q, dtype=np.float32)
-        rows = self.candidate_rows(q, km)
+        rows = self.candidate_rows(q, km, q_keys)
         scores = self.emb[rows] @ q
         top = top_k(scores, km)
         return self.ids[rows[top]], scores[top]

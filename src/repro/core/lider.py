@@ -8,7 +8,11 @@ Build (staged exactly as Table 5 reports):
 
 Search: centroids retriever → top-``c0`` clusters → each in-cluster
 retriever returns its top-k with exact cosine scores → merge → global top-k.
-Both layers' core models come from one derivation, ``LIDERConfig.core_config``.
+The in-cluster retrievers share one hyperplane stack, so the query is hashed
+once at ``MAX_BITS`` for all of them; each probed cluster takes the M-bit
+prefix of those keys (a right shift: keys pack MSB-first), which equals
+the keys it would compute itself. Both layers' core models come from one
+derivation, ``LIDERConfig.core_config``.
 """
 from __future__ import annotations
 
@@ -20,13 +24,16 @@ import numpy as np
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.core.kmeans import spherical_kmeans
+from repro.lsh.esklsh import stack_query_keys
+from repro.lsh.projections import plane_stack
 from repro.metrics import top_k
 
 CENTROID_GROUP = -1  # projection-seed group id of the centroids retriever
 # All in-cluster retrievers share one projection-seed group: clusters index
 # disjoint data, so one physical family of hyperplanes (sliced to each
 # cluster's hashkey length) serves every cluster — the planes are numpy
-# views of a single cached matrix, counted once in the memory footprint.
+# views of a single cached (H, MAX_BITS, d) stack, counted once in the
+# memory footprint, and one hash of a query serves every probed cluster.
 IN_CLUSTER_GROUP = 0
 BUILD_WORKERS = 8  # threads building the in-cluster retrievers (Stage 3)
 
@@ -156,22 +163,42 @@ class LIDER:
 
     # ----------------------------------------------------------------- search
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k (external ids, cosine scores) for one query embedding."""
+        """Top-k (external ids, cosine scores) for one query embedding.
+
+        Raises ``ValueError`` for a query that is not a 1-D vector of the
+        index's dimension, has a non-finite value, or is all zeros.
+        """
         if self.centroid_retriever is None:
             raise RuntimeError("search before fit")
-        q = np.asarray(q, dtype=np.float32)
-        _, c0 = self.config.resolve(self.assignments.shape[0])
+        q = self._check_query(q)
+        cfg = self.config
+        _, c0 = cfg.resolve(self.assignments.shape[0])
         cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
-        parts = [
-            self.in_cluster[int(j)].search(q, km=k)
-            for j in cluster_ids if int(j) in self.in_cluster
-        ]
+        stack = plane_stack(q.shape[0], cfg.h, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP)
+        full_keys = stack_query_keys(stack, q)
+        parts = []
+        for j in cluster_ids:
+            cm = self.in_cluster.get(int(j))
+            if cm is not None:
+                parts.append(cm.search(q, km=k, q_keys=cm.esklsh.prefix_keys(full_keys)))
         if not parts:
             return np.empty(0, np.int64), np.empty(0, np.float32)
         all_ids = np.concatenate([p[0] for p in parts])
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
+
+    def _check_query(self, q: np.ndarray) -> np.ndarray:
+        """``q`` as float32, unchanged, or a ``ValueError`` naming the fault."""
+        q = np.asarray(q, dtype=np.float32)
+        d = self.centroids.shape[1]
+        if q.shape != (d,):
+            raise ValueError(f"query must be a 1-D vector of dimension {d}, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("query has a non-finite value")
+        if not q.any():
+            raise ValueError("query has zero norm")
+        return q
 
     # ------------------------------------------------------------------ stats
     def memory_footprint(self) -> int:

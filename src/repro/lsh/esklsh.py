@@ -8,8 +8,8 @@ or found by binary search in the SK-LSH baseline) and performs the
 bi-directional expansion — "basically a fixed length range search on the
 array" (§4) of width R = r0·km. Unlike the original SK-LSH's iterative
 *global* merge across arrays, ESK-LSH expands each array *locally and
-independently* (§4.3), which is what makes the expansion a vectorisable
-window gather here (and thread-parallel in the paper).
+independently* (§4.3), which is what makes the expansion one indexed read
+of all H windows here (and thread-parallel in the paper).
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lsh.hashkeys import pack_bits
-from repro.lsh.projections import RandomHyperplanes, make_projection_family
+from repro.lsh.hashkeys import MAX_BITS, pack_bits
+from repro.lsh.projections import RandomHyperplanes, make_projection_family, plane_stack
 
 
 def expansion_window(loc: int, r: int, length: int) -> tuple[int, int]:
@@ -33,6 +33,13 @@ def expansion_window(loc: int, r: int, length: int) -> tuple[int, int]:
     start = int(loc) - r // 2
     start = max(0, min(start, length - r))
     return start, start + r
+
+
+def stack_query_keys(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(H,) ``MAX_BITS``-bit keys of a float32 query under an (H, MAX_BITS, d)
+    plane stack. Keys pack MSB-first, so a right shift by MAX_BITS − M gives
+    the M-bit keys of every core model hashing with that stack."""
+    return pack_bits((stack @ q) > 0)
 
 
 def key_storage_dtype(m_bits: int | None) -> np.dtype:
@@ -86,7 +93,19 @@ class SortedKeyArray:
 
 
 class ESKLSH:
-    """The full dimension-reduction module: H compound hashes + H sorted arrays."""
+    """The full dimension-reduction module: H compound hashes + H sorted arrays.
+
+    The sorted rows live in one (H, L) int32 matrix ``rows``; each
+    ``SortedKeyArray.rows`` is a view of one row of it, so the H expansion
+    windows of a query are read with one gather.
+
+    ``_planes`` is the family's shared (H, MAX_BITS, d) ``plane_stack``, and
+    ``query_keys`` returns the M-bit prefixes of the query's MAX_BITS-bit
+    keys. A caller that hashed the query with the same stack (LIDER, once
+    for all its in-cluster retrievers) gets exactly these keys by a shift;
+    a matmul over the first M planes alone can round a projection
+    differently.
+    """
 
     def __init__(self, dim: int, m: int, h: int, *, base_seed: int = 1234, group: int = 0):
         if h <= 0:
@@ -95,9 +114,12 @@ class ESKLSH:
         self.hashers: list[RandomHyperplanes] = make_projection_family(
             dim, m, h, base_seed=base_seed, group=group
         )
-        # (H, M, d) stacked hyperplanes: one matmul hashes a query for all
-        # H arrays at once ("query hashkey generation", §6.1 step 1).
-        self._planes = np.stack([hs.planes for hs in self.hashers])
+        # One matmul hashes a query for all H arrays at once ("query hashkey
+        # generation", §6.1 step 1).
+        self._planes = plane_stack(dim, h, base_seed=base_seed, group=group)
+        self._shift = np.uint64(MAX_BITS - m)
+        self._h_idx = np.arange(h)[:, None]
+        self.rows = np.empty((h, 0), dtype=np.int32)
         self.arrays: list[SortedKeyArray] = []
 
     def fit(self, x: np.ndarray) -> "ESKLSH":
@@ -107,33 +129,48 @@ class ESKLSH:
         deterministic and reproducible by the Spark path.
         """
         x = np.asarray(x, dtype=np.float32)
-        self.arrays = []
-        for hasher in self.hashers:
-            keys = hasher.keys(x)
-            order = np.argsort(keys, kind="stable")
-            self.arrays.append(SortedKeyArray(keys[order], order, m_bits=self.m))
+        keys = np.stack([hasher.keys(x) for hasher in self.hashers])
+        order = np.argsort(keys, axis=1, kind="stable")
+        return self.set_arrays(np.take_along_axis(keys, order, axis=1), order)
+
+    def set_arrays(self, keys: np.ndarray, rows: np.ndarray) -> "ESKLSH":
+        """Store the H sorted arrays from (H, L) sorted keys and their rows.
+
+        The one place ``rows`` and ``arrays`` are set, for a fit and for a
+        model read back from its parameters alike.
+        """
+        self.rows = np.ascontiguousarray(rows, dtype=np.int32)
+        if self.rows.ndim != 2 or self.rows.shape[0] != self.h:
+            raise ValueError("rows must be an (H, L) matrix")
+        self.arrays = [SortedKeyArray(k, r, m_bits=self.m) for k, r in zip(keys, self.rows)]
         return self
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:
         """(H,) query hashkeys, one per array, in a single stacked matmul."""
         q = np.asarray(q, dtype=np.float32)
-        bits = (self._planes @ q) > 0  # (H, M)
-        return pack_bits(bits)
+        return self.prefix_keys(stack_query_keys(self._planes, q))
+
+    def prefix_keys(self, full_keys: np.ndarray) -> np.ndarray:
+        """This model's M-bit keys from (H,) ``MAX_BITS``-bit keys of its
+        plane stack (see :func:`stack_query_keys`)."""
+        return full_keys >> self._shift
 
     def candidate_rows(self, locations: np.ndarray, r: int) -> np.ndarray:
-        """Union (deduplicated) of the H expansion windows.
+        """Union (deduplicated) of the H expansion windows, ascending.
 
-        Dedup via a boolean hit-mask over the corpus rows — O(n + H·R)
-        without the sort a ``np.unique`` would pay; output is ascending
-        (same contract as np.unique).
+        Each window is ``expansion_window(loc, r, L)`` of its array; the H
+        windows are read from ``rows`` with one gather into a boolean
+        hit-mask over the corpus rows — O(n + H·R) without the sort a
+        ``np.unique`` would pay. Every array's rows are a permutation of
+        the corpus rows, so r ≥ L returns them all.
         """
-        if not self.arrays:
-            return np.empty(0, np.int64)
-        n = len(self.arrays[0])
-        mask = np.zeros(n, dtype=bool)
-        for arr, loc in zip(self.arrays, locations):
-            start, end = expansion_window(int(loc), r, len(arr))
-            mask[arr.rows[start:end]] = True
+        h, length = self.rows.shape
+        r = max(1, r)
+        if r >= length:
+            return np.arange(length)
+        start = np.clip(np.asarray(locations, dtype=np.int64) - r // 2, 0, length - r)
+        mask = np.zeros(length, dtype=bool)
+        mask[self.rows[self._h_idx, start[:, None] + np.arange(r)]] = True
         return np.flatnonzero(mask)
 
     @property

@@ -1,7 +1,9 @@
 """Tests for ESK-LSH sorted arrays and bi-directional expansion (§4.3)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray, expansion_window
 
 
@@ -138,3 +140,55 @@ class TestESKLSH:
         expected_arrays = 4 * corpus_small.n * (2 + 4)
         expected_planes = 4 * 14 * corpus_small.dim * 4
         assert index.nbytes == expected_arrays + expected_planes
+
+
+@st.composite
+def arrays_and_windows(draw):
+    """(H, L, r, locations, seed): locations include both array ends, and r
+    ranges from 1 past L."""
+    h = draw(st.integers(min_value=1, max_value=6))
+    length = draw(st.integers(min_value=1, max_value=40))
+    r = draw(st.integers(min_value=1, max_value=length + 5))
+    loc = st.one_of(st.sampled_from([0, length - 1]), st.integers(0, length - 1))
+    locs = draw(st.lists(loc, min_size=h, max_size=h))
+    return h, length, r, np.array(locs, dtype=np.int64), draw(st.integers(0, 2**16))
+
+
+class TestVectorisedExpansion:
+    """The one-gather expansion equals the per-array windows it replaces."""
+
+    @staticmethod
+    def _index(h, length, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.integers(0, 2**12, size=(h, length), dtype=np.uint64), axis=1)
+        rows = np.stack([rng.permutation(length) for _ in range(h)])
+        return ESKLSH(4, 12, h).set_arrays(keys, rows)
+
+    @given(arrays_and_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_union_of_expansion_windows(self, case):
+        h, length, r, locs, seed = case
+        index = self._index(h, length, seed)
+        want = np.unique(np.concatenate([
+            arr.rows[slice(*expansion_window(int(loc), r, len(arr)))]
+            for arr, loc in zip(index.arrays, locs)
+        ]))
+        got = index.candidate_rows(locs, r)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_array_rows_are_views_of_the_matrix(self, corpus_small):
+        index = ESKLSH(corpus_small.dim, m=14, h=4).fit(corpus_small.emb)
+        assert index.rows.shape == (4, corpus_small.n) and index.rows.dtype == np.int32
+        for i, arr in enumerate(index.arrays):
+            assert np.shares_memory(arr.rows, index.rows)
+            assert np.array_equal(arr.rows, index.rows[i])
+
+    def test_params_round_trip_rebuilds_the_matrix(self, corpus_small):
+        cfg = CoreModelConfig(h=5)
+        cm = CoreModel(cfg).fit(corpus_small.emb)
+        back = CoreModel.from_params(cfg, cm.to_params(), corpus_small.emb)
+        assert np.array_equal(back.esklsh.rows, cm.esklsh.rows)
+        assert back.esklsh.rows.dtype == np.int32
+        for arr in back.esklsh.arrays:
+            assert np.shares_memory(arr.rows, back.esklsh.rows)

@@ -1,9 +1,15 @@
 """Tests for the two-layer LIDER index (§3.2/§3.3.2)."""
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.lider import LIDER, LIDERConfig
-from repro.metrics import mrr_at_k, recall_at_k
+from repro.core.lider import BUILD_WORKERS, IN_CLUSTER_GROUP, LIDER, LIDERConfig
+from repro.embeddings.corpus import make_corpus
+from repro.lsh.esklsh import stack_query_keys
+from repro.lsh.hashkeys import MAX_BITS
+from repro.lsh.projections import plane_stack
+from repro.metrics import mrr_at_k, recall_at_k, top_k
 
 
 class TestConfigResolve:
@@ -118,15 +124,89 @@ class TestMemory:
         )
         assert total == parts
 
-    def test_in_cluster_planes_physically_shared(self, lider_small):
-        # All IRs slice the same cached hyperplane matrices (numpy views).
-        irs = list(lider_small.in_cluster.values())
-        base0 = irs[0].esklsh.hashers[0].planes.base
-        assert base0 is not None
-        for cm in irs[1:]:
-            assert cm.esklsh.hashers[0].planes.base is base0
+    def test_in_cluster_planes_physically_shared(self):
+        """Every IR's plane stack and hasher is a view of one cached stack.
+
+        More clusters than build threads, a (dim, seed) no other test uses
+        and a short switch interval, so the Stage-3 threads race to fill
+        the plane cache.
+        """
+        dim = 256
+        cfg = LIDERConfig(c=3 * BUILD_WORKERS, c0=4, base_seed=4321)
+        emb = make_corpus(1200, dim=dim, seed=11).emb
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lider = LIDER(cfg).fit(emb)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(lider.in_cluster) > BUILD_WORKERS
+        stack = plane_stack(dim, cfg.h, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP)
+        for cm in lider.in_cluster.values():
+            assert np.shares_memory(cm.esklsh._planes, stack)
+            for hasher in cm.esklsh.hashers:
+                assert np.shares_memory(hasher.planes, stack)
 
     def test_in_cluster_retrievers_dominate(self, lider_small):
         """Table-5 observation: the IRs take the major fraction of the index."""
         ir_bytes = sum(cm.nbytes for cm in lider_small.in_cluster.values())
         assert ir_bytes > 0.5 * lider_small.memory_footprint()
+
+
+class TestHashOnce:
+    """``LIDER.search`` hashes a query once for all in-cluster retrievers."""
+
+    def test_shifted_shared_keys_equal_own_keys(self, lider_small, corpus_small, queries_small):
+        cfg = lider_small.config
+        stack = plane_stack(corpus_small.dim, cfg.h, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP)
+        queries = np.concatenate([queries_small.emb, corpus_small.emb[:10]])
+        assert len(queries) == 50
+        for q in queries:
+            full = stack_query_keys(stack, q)
+            for cm in lider_small.in_cluster.values():
+                own = full >> np.uint64(MAX_BITS - cm.esklsh.m)
+                assert np.array_equal(own, cm.esklsh.query_keys(q))
+
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_search_equals_reference_merge(self, lider_small, queries_small, k):
+        """Bit for bit the merge of per-cluster searches that hash for themselves."""
+        _, c0 = lider_small.config.resolve(lider_small.assignments.shape[0])
+        for q in queries_small.emb:
+            probed, _ = lider_small.centroid_retriever.search(q, km=c0)
+            parts = [
+                lider_small.in_cluster[int(j)].search(q, k)
+                for j in probed if int(j) in lider_small.in_cluster
+            ]
+            ids = np.concatenate([p[0] for p in parts])
+            scores = np.concatenate([p[1] for p in parts])
+            top = top_k(scores, k)
+            got_ids, got_scores = lider_small.search(q, k)
+            assert np.array_equal(got_ids, ids[top])
+            assert np.array_equal(got_scores, scores[top])
+
+
+class TestQueryChecks:
+    """Bad queries are rejected at the ``LIDER.search`` boundary."""
+
+    @pytest.mark.parametrize("shape", [(31,), (33,), (1, 32), ()])
+    def test_wrong_shape_rejected(self, lider_small, shape):
+        with pytest.raises(ValueError, match="1-D vector of dimension 32"):
+            lider_small.search(np.ones(shape, dtype=np.float32), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, lider_small, queries_small, bad):
+        q = queries_small.emb[0].copy()
+        q[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lider_small.search(q, 5)
+
+    def test_zero_norm_rejected(self, lider_small):
+        with pytest.raises(ValueError, match="zero norm"):
+            lider_small.search(np.zeros(32, dtype=np.float32), 5)
+
+    def test_valid_query_not_normalised(self, lider_small, queries_small):
+        q = queries_small.emb[0]
+        ids, scores = lider_small.search(q, 10)
+        ids3, scores3 = lider_small.search(3 * q, 10)
+        assert np.array_equal(ids3, ids)
+        assert scores3 == pytest.approx(3 * scores, rel=1e-5)
