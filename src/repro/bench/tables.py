@@ -155,7 +155,7 @@ def table4(
             q_keys, locs = cm.predict_locations(q)
             preds.append(locs)
             trues.append(
-                [u.array.entry_location(int(qk)) for u, qk in zip(cm.units, q_keys)]
+                [arr.entry_location(int(qk)) for arr, qk in zip(cm.esklsh.arrays, q_keys)]
             )
         stats = prediction_stats(
             np.concatenate(preds),

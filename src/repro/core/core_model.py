@@ -6,6 +6,12 @@ A core model combines:
   * one simplified RMI per array ("one RMI corresponds to one sorted array"),
   * candidate verification by exact cosine on the original embeddings.
 
+A re-scaler and an RMI are a few floats each, so a fitted model keeps them
+only as the plain arrays ``to_params`` writes: ``key_range`` (H, 2) and
+``rmi`` (H, 1+W, 3). ``predict_locations`` reads them directly, and
+``predict_locations_reference`` rebuilds the ``KeyRescaler`` and
+``SimplifiedRMI`` objects from them as the readable reference.
+
 Search (§3.3.1): query embedding → H query hashkeys → re-scaled RMI keys →
 RMI-predicted locations → bi-directional expansion windows of width
 R = r0·km on each array → union of candidates → exact scoring → top-km.
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lsh.esklsh import ESKLSH, SortedKeyArray
+from repro.lsh.esklsh import ESKLSH
 from repro.metrics import top_k
 from repro.rmi.rescale import KeyRescaler
 from repro.rmi.rmi import LinearModel, SimplifiedRMI
@@ -56,24 +62,21 @@ class CoreModelConfig:
         return min(50, max(4, math.ceil(math.log2(max(n, 2))) + self.pad))
 
 
-@dataclass
-class ArrayUnit:
-    """One (sorted array, rescaler, RMI) triple."""
-
-    array: SortedKeyArray
-    rescaler: KeyRescaler
-    rmi: SimplifiedRMI
-
-
 class CoreModel:
-    """Index over one embedding collection (a cluster, or the centroids)."""
+    """Index over one embedding collection (a cluster, or the centroids).
+
+    A fitted model holds exactly what :meth:`to_params` writes: ``ids``,
+    ESK-LSH's (H, L) ``keys`` and ``rows``, ``key_range`` (H, 2) and
+    ``rmi`` (H, 1+W, 3), plus the embeddings it verifies candidates on.
+    """
 
     def __init__(self, config: CoreModelConfig):
         self.config = config
         self.emb: np.ndarray | None = None  # (n, d) float32 unit rows
         self.ids: np.ndarray | None = None  # (n,) int64 external ids
         self.esklsh: ESKLSH | None = None
-        self.units: list[ArrayUnit] = []
+        self.key_range: np.ndarray | None = None  # (H, 2) rescaler (min, max)
+        self.rmi: np.ndarray | None = None  # (H, 1+W, 3) (a, b, x_mean), root first
 
     # ------------------------------------------------------------------ build
     def fit(self, emb: np.ndarray, ids: np.ndarray | None = None) -> "CoreModel":
@@ -92,15 +95,14 @@ class CoreModel:
         self.esklsh = ESKLSH(
             emb.shape[1], m, cfg.h, base_seed=cfg.base_seed, group=cfg.group
         ).fit(emb)
-        self.units = []
-        for arr in self.esklsh.arrays:
-            rescaler = KeyRescaler(len(arr), enabled=cfg.rescale)
-            rmi_keys = rescaler.fit_transform(arr.keys)
-            rmi = SimplifiedRMI(cfg.width, len(arr)).fit(
-                rmi_keys, np.arange(len(arr), dtype=np.float64)
-            )
-            self.units.append(ArrayUnit(arr, rescaler, rmi))
-        self._stack_params()
+        self.key_range = np.empty((cfg.h, 2))
+        self.rmi = np.empty((cfg.h, 1 + cfg.width, 3))
+        locations = np.arange(n, dtype=np.float64)
+        for i, keys in enumerate(self.esklsh.keys):
+            rescaler = KeyRescaler(n, enabled=cfg.rescale)
+            rmi = SimplifiedRMI(cfg.width, n).fit(rescaler.fit_transform(keys), locations)
+            self.key_range[i] = rescaler.key_min, rescaler.key_max
+            self.rmi[i] = [(lm.a, lm.b, lm.x_mean) for lm in (rmi.root, *rmi.children)]
         return self
 
     # ------------------------------------------------------------ persistence
@@ -113,118 +115,105 @@ class CoreModel:
         The one codec of a core model: the Spark build ships it from the
         workers and the DataSource stores it, both as ``np.savez``.
         """
-        us = self.units
         return {
             "ids": self.ids,
-            "keys": np.stack([u.array.keys for u in us]),
+            "keys": self.esklsh.keys,
             "rows": self.esklsh.rows,
-            "key_range": np.array(
-                [[u.rescaler.key_min, u.rescaler.key_max] for u in us], dtype=np.float64
-            ),
-            "rmi": np.array(
-                [[(m.a, m.b, m.x_mean) for m in (u.rmi.root, *u.rmi.children)] for u in us],
-                dtype=np.float64,
-            ),
+            "key_range": self.key_range,
+            "rmi": self.rmi,
         }
 
     @classmethod
     def from_params(
         cls, config: CoreModelConfig, p: Mapping[str, np.ndarray], emb: np.ndarray
     ) -> "CoreModel":
-        """Inverse of :meth:`to_params`; ``emb`` rows align with ``p["ids"]``."""
+        """Inverse of :meth:`to_params`; ``emb`` rows align with ``p["ids"]``.
+
+        Raises ``ValueError`` for params of another shape than ``config``
+        gives, or with a non-finite ``key_range``/``rmi`` value.
+        """
         cm = cls(config)
         cm.emb = np.ascontiguousarray(emb, dtype=np.float32)
         cm.ids = np.asarray(p["ids"], dtype=np.int64)
         n = cm.ids.shape[0]
         if cm.emb.shape[0] != n:
             raise ValueError("ids must align with embeddings")
-        keys, rows, key_range, rmi = p["keys"], p["rows"], p["key_range"], p["rmi"]
+        keys, rows = p["keys"], p["rows"]
+        key_range = np.asarray(p["key_range"], dtype=np.float64)
+        rmi = np.asarray(p["rmi"], dtype=np.float64)
         h = config.h
         if (keys.shape, rows.shape, key_range.shape, rmi.shape) != (
             (h, n), (h, n), (h, 2), (h, 1 + config.width, 3)
         ):
             raise ValueError("core-model params do not match the config")
+        if not (np.isfinite(key_range).all() and np.isfinite(rmi).all()):
+            raise ValueError("core-model params hold a non-finite key_range or rmi value")
         m = config.hashkey_bits(n)
         cm.esklsh = ESKLSH(
             cm.emb.shape[1], m, h, base_seed=config.base_seed, group=config.group
         ).set_arrays(keys, rows)
-        for array, (k_min, k_max), rmi_p in zip(cm.esklsh.arrays, key_range, rmi):
-            rescaler = KeyRescaler(n, enabled=config.rescale)
-            rescaler.key_min, rescaler.key_max = float(k_min), float(k_max)
-            model = SimplifiedRMI(config.width, n)
-            model.root, *model.children = [LinearModel(*map(float, row)) for row in rmi_p]
-            cm.units.append(ArrayUnit(array, rescaler, model))
-        cm._stack_params()
+        cm.key_range, cm.rmi = key_range, rmi
         return cm
-
-    def _stack_params(self) -> None:
-        """Fuse each array's rescaler and RMI models into one affine
-        slope/intercept per model, stacked over the H arrays, so one query's
-        H location predictions are a handful of vectorised ops instead of H
-        Python round-trips — the single-query latency path AQT measures."""
-        us = self.units
-        # The fused constants are only numerically safe when training
-        # converged on re-scaled keys. The rescale=False ablation arm
-        # (diverged slopes of ±1e30) predicts through the per-unit
-        # reference path instead, whose clipping it needs.
-        self._use_fused = bool(us) and bool(us[0].rescaler.enabled)
-        if not self._use_fused:
-            return
-        self._w = self.config.width
-        self._l = float(len(us[0].array))
-        self._h_idx = np.arange(len(us))
-        rk_min = np.array([u.rescaler.key_min for u in us], dtype=np.float64)
-        rk_max = np.array([u.rescaler.key_max for u in us], dtype=np.float64)
-        root_a = np.array([u.rmi.root.a for u in us])
-        root_b = np.array([u.rmi.root.b for u in us])
-        root_xm = np.array([u.rmi.root.x_mean for u in us])
-        child_a = np.array([[c.a for c in u.rmi.children] for u in us])
-        child_b = np.array([[c.b for c in u.rmi.children] for u in us])
-        child_xm = np.array([[c.x_mean for c in u.rmi.children] for u in us])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            span = rk_max - rk_min
-            scale = np.where(span > 0, (self._l - 1.0) / span, 0.0)
-            shift = -rk_min * scale
-            self._f_root_a = root_a * scale
-            self._f_root_b = root_a * (shift - root_xm) + root_b
-            self._f_child_a = child_a * scale[:, None]
-            self._f_child_b = child_a * (shift[:, None] - child_xm) + child_b
-        fused = (self._f_root_a, self._f_root_b, self._f_child_a, self._f_child_b)
-        self._use_fused = all(
-            np.isfinite(a).all() and np.abs(a).max(initial=0.0) < 1e15 for a in fused
-        )
 
     # ----------------------------------------------------------------- search
     def predict_locations(
         self, q: np.ndarray, q_keys: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(H,) query hashkeys and (H,) RMI-predicted locations (vectorised
-        over the H arrays; equal to the per-unit reference, see tests).
-        ``q_keys``, when given, are this model's hashkeys of ``q``."""
-        if not self._use_fused:
-            return self.predict_locations_reference(q, q_keys)
+        """(H,) query hashkeys and (H,) RMI-predicted locations.
+
+        One loop over the H arrays on Python floats. It runs the float64
+        operations of ``KeyRescaler.transform`` and then
+        ``SimplifiedRMI.predict_location`` in their order, so it equals
+        :meth:`predict_locations_reference` by construction: keys are
+        below 2^50, so ``float(key)`` is exact; a product that overflows is
+        ``inf`` without a warning, and clamping it (NaN to 0) gives the
+        reference's ``nan_to_num`` then clip; ``round`` halves to even like
+        ``np.rint``, and clamping first gives the same integer.
+        ``q_keys``, when given, are this model's hashkeys of ``q``.
+        """
         if q_keys is None:
             q_keys = self.esklsh.query_keys(q)
-        x = q_keys.astype(np.float64)
-        lmax = self._l - 1.0
-        root = np.clip(self._f_root_a * x + self._f_root_b, 0, lmax)
-        j = np.clip((root * (self._w / self._l)).astype(np.int64), 0, self._w - 1)
-        pred = self._f_child_a[self._h_idx, j] * x + self._f_child_b[self._h_idx, j]
-        locs = np.clip(np.rint(pred), 0, lmax).astype(np.int64)
-        return q_keys, locs
+        n, w, rescale = self.n, self.config.width, self.config.rescale
+        lmax = float(n - 1)
+        # Row i of ``models`` is array i's (a, b, x_mean) triples, root first.
+        models = self.rmi.reshape(len(q_keys), -1).tolist()
+        locs = []
+        for x, (k_min, k_max), row in zip(q_keys.tolist(), self.key_range.tolist(), models):
+            x = float(x)
+            if rescale:
+                span = k_max - k_min
+                x = (x - k_min) / span * lmax if span > 0 else 0.0
+            a, b, x_mean = row[0:3]
+            v = a * (x - x_mean) + b
+            p = (v if v < lmax else lmax) if v > 0.0 else 0.0
+            j = 3 + 3 * min(int(p * w / n), w - 1)
+            a, b, x_mean = row[j : j + 3]
+            v = a * (x - x_mean) + b
+            locs.append(round(v if v < lmax else lmax) if v > 0.0 else 0)
+        return q_keys, np.array(locs, dtype=np.int64)
+
+    def array_models(self, i: int) -> tuple[KeyRescaler, SimplifiedRMI]:
+        """Array ``i``'s re-scaler and RMI as objects, built from its rows
+        of ``key_range`` and ``rmi``."""
+        n = self.n
+        rescaler = KeyRescaler(n, enabled=self.config.rescale)
+        rescaler.key_min, rescaler.key_max = map(float, self.key_range[i])
+        rmi = SimplifiedRMI(self.config.width, n)
+        rmi.root, *rmi.children = [LinearModel(*map(float, row)) for row in self.rmi[i]]
+        return rescaler, rmi
 
     def predict_locations_reference(
         self, q: np.ndarray, q_keys: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-unit (unstacked) prediction path — the readable reference
-        implementation, and the path of models whose fused constants are
-        unsafe; tests assert it matches the fused path."""
+        """The readable reference of :meth:`predict_locations`: each array's
+        ``KeyRescaler.transform`` then ``SimplifiedRMI.predict_location``
+        on numpy arrays; tests assert the two are equal."""
         if q_keys is None:
             q_keys = self.esklsh.query_keys(q)
-        locs = np.empty(len(self.units), dtype=np.int64)
-        for i, unit in enumerate(self.units):
-            rmi_key = unit.rescaler.transform(np.array([q_keys[i]], dtype=np.uint64))
-            locs[i] = unit.rmi.predict_location(rmi_key)[0]
+        locs = np.empty(len(q_keys), dtype=np.int64)
+        for i, key in enumerate(q_keys):
+            rescaler, rmi = self.array_models(i)
+            locs[i] = rmi.predict_location(rescaler.transform(np.array([key], np.uint64)))[0]
         return q_keys, locs
 
     def candidate_rows(
@@ -259,10 +248,7 @@ class CoreModel:
     @property
     def nbytes(self) -> int:
         """Index-only memory (paper Table 5 excludes the data embeddings)."""
-        total = 0
-        if self.esklsh is not None:
-            total += self.esklsh.nbytes
-        for u in self.units:
-            total += u.rmi.nbytes + 4 * 8  # rescaler: 4 scalar params
-        total += 0 if self.ids is None else self.ids.nbytes
-        return total
+        if self.esklsh is None:
+            return 0
+        # 32 bytes per array for the rescaler's 4 scalar params.
+        return self.esklsh.nbytes + self.rmi.nbytes + 32 * self.config.h + self.ids.nbytes

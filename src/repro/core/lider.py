@@ -38,6 +38,44 @@ IN_CLUSTER_GROUP = 0
 BUILD_WORKERS = 8  # threads building the in-cluster retrievers (Stage 3)
 
 
+def check_corpus(
+    emb: np.ndarray, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(float32 rows, int64 ids) of a corpus to index, ids defaulting to
+    the row numbers, or a ``ValueError`` naming the fault: the corpus is
+    not a 2-D (n, d) matrix, has a non-finite value, or its ids do not
+    align with its rows or repeat."""
+    emb = np.ascontiguousarray(emb, dtype=np.float32)
+    if emb.ndim != 2:
+        raise ValueError(f"corpus must be a 2-D (n, d) matrix, got shape {emb.shape}")
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if bad.size:
+        raise ValueError(f"corpus row {bad[0]} has a non-finite value")
+    n = emb.shape[0]
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
+    if ids.shape != (n,):
+        raise ValueError(f"ids must be a 1-D array of the {n} row ids, got shape {ids.shape}")
+    ordered = np.sort(ids)
+    dup = ordered[1:][ordered[1:] == ordered[:-1]]
+    if dup.size:
+        raise ValueError(f"duplicate id {dup[0]}")
+    return emb, ids
+
+
+def check_query(q: np.ndarray, d: int) -> np.ndarray:
+    """``q`` as float32, unchanged, or a ``ValueError`` naming the fault: the
+    query is not a 1-D vector of dimension ``d``, has a non-finite value,
+    or is all zeros."""
+    q = np.asarray(q, dtype=np.float32)
+    if q.shape != (d,):
+        raise ValueError(f"query must be a 1-D vector of dimension {d}, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("query has a non-finite value")
+    if not q.any():
+        raise ValueError("query has zero norm")
+    return q
+
+
 @dataclass
 class LIDERConfig:
     """End-to-end LIDER hyperparameters (paper §7.2.1 defaults, scaled).
@@ -114,10 +152,10 @@ class LIDER:
 
         ``assignments``/``centroids`` may be injected (the Spark build path
         clusters with pyspark.ml) — Stage 1 is then skipped but still timed.
+        Raises ``ValueError`` for a corpus :func:`check_corpus` rejects.
         """
-        emb = np.ascontiguousarray(emb, dtype=np.float32)
+        emb, ids = check_corpus(emb, ids)
         n = emb.shape[0]
-        ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
         cfg = self.config
         c, _ = cfg.resolve(n)
 
@@ -170,7 +208,7 @@ class LIDER:
         """
         if self.centroid_retriever is None:
             raise RuntimeError("search before fit")
-        q = self._check_query(q)
+        q = check_query(q, self.centroids.shape[1])
         cfg = self.config
         _, c0 = cfg.resolve(self.assignments.shape[0])
         cluster_ids, _ = self.centroid_retriever.search(q, km=c0)
@@ -187,18 +225,6 @@ class LIDER:
         all_scores = np.concatenate([p[1] for p in parts])
         top = top_k(all_scores, k)
         return all_ids[top], all_scores[top]
-
-    def _check_query(self, q: np.ndarray) -> np.ndarray:
-        """``q`` as float32, unchanged, or a ``ValueError`` naming the fault."""
-        q = np.asarray(q, dtype=np.float32)
-        d = self.centroids.shape[1]
-        if q.shape != (d,):
-            raise ValueError(f"query must be a 1-D vector of dimension {d}, got shape {q.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError("query has a non-finite value")
-        if not q.any():
-            raise ValueError("query has zero norm")
-        return q
 
     # ------------------------------------------------------------------ stats
     def memory_footprint(self) -> int:

@@ -27,7 +27,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.core.core_model import CoreModel, CoreModelConfig
-from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDER, LIDERConfig
+from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDER, LIDERConfig, check_corpus
 
 FIT_SCHEMA = "cluster_id int, params binary"
 
@@ -86,14 +86,15 @@ def build_lider_spark(
     """End-to-end distributed build; returns a ready-to-search LIDER.
 
     With ``assignments``/``centroids`` given, Stage 1 is skipped (tests use
-    this to compare against the driver build on identical clusters).
+    this to compare against the driver build on identical clusters). A
+    corpus :func:`check_corpus` rejects raises ``ValueError`` before any
+    Spark job runs.
     """
     from repro.embeddings.corpus import EmbeddingCorpus
     from repro.embeddings.datasets import corpus_to_spark
 
-    emb = np.ascontiguousarray(emb, dtype=np.float32)
+    emb, ids = check_corpus(emb, ids)
     n = emb.shape[0]
-    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, np.int64)
     config = config or LIDERConfig()
     c, _ = config.resolve(n)
 

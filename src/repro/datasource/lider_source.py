@@ -26,7 +26,9 @@ Read path (``spark.read.format("lider")``):
   Parquet file + in-cluster retriever, run the core-model search,
   and return (id, cluster_id, score, rank) rows; a plain
   ``ORDER BY score DESC LIMIT k`` in Catalyst merges the per-cluster
-  top-k — LIDER's stage-3 heap merge expressed as a dataflow.
+  top-k — LIDER's stage-3 heap merge expressed as a dataflow. Planning
+  and every partition check the query with ``check_query``, so the reader
+  rejects what ``LIDER.search`` rejects.
 * ``pushFilters`` additionally consumes ``cluster_id`` equality/IN filters
   (classic DSv2 pushdown) to prune partitions on full scans.
 * Without a query, all clusters are scanned (score is NULL, rank −1); the
@@ -50,7 +52,7 @@ from pyspark.sql.datasource import (
 from pyspark.sql.types import StructType
 
 from repro.core.core_model import CoreModel
-from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDERConfig
+from repro.core.lider import CENTROID_GROUP, IN_CLUSTER_GROUP, LIDERConfig, check_query
 
 SCHEMA_DDL = "id long, cluster_id int, score double, rank int"
 FORMAT_VERSION = 1
@@ -147,7 +149,7 @@ class LiderReader(DataSourceReader):
             with np.load(os.path.join(self.path, "index", "centroid_retriever.npz")) as p:
                 cr = CoreModel.from_params(cfg, p, p["emb"])
             c0 = self.c0 or meta["c0"]
-            targets, _ = cr.search(self.query, km=c0)
+            targets, _ = cr.search(check_query(self.query, cr.emb.shape[1]), km=c0)
             clusters = [int(j) for j in targets if int(j) in set(clusters)]
         if self.pushed_clusters is not None:
             clusters = [j for j in clusters if j in self.pushed_clusters]
@@ -168,13 +170,14 @@ class LiderReader(DataSourceReader):
             return
         meta = self._meta()
         emb = table.column("emb").combine_chunks().flatten().to_numpy().reshape(len(ids), -1)
+        query = check_query(self.query, emb.shape[1])
         cfg = LIDERConfig(**meta["config"]).core_config(IN_CLUSTER_GROUP)
         with np.load(os.path.join(self.path, "index", f"cluster_{j}.npz")) as p:
             if not np.array_equal(p["ids"], ids):
                 raise ValueError(f"cluster {j}: Parquet ids differ from the index ids")
             cm = CoreModel.from_params(cfg, p, emb)
         k = self.k or meta["default_k"]
-        top_ids, scores = cm.search(self.query, km=k)
+        top_ids, scores = cm.search(query, km=k)
         for rank, (pid, s) in enumerate(zip(top_ids, scores)):
             yield (int(pid), j, float(s), rank)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lsh.hashkeys import MAX_BITS, pack_bits
-from repro.lsh.projections import RandomHyperplanes, make_projection_family, plane_stack
+from repro.lsh.hashkeys import MAX_BITS, key_length_check, pack_bits
+from repro.lsh.projections import plane_stack
 
 
 def expansion_window(loc: int, r: int, length: int) -> tuple[int, int]:
@@ -70,7 +70,7 @@ class SortedKeyArray:
     m_bits: int | None = None
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys).astype(key_storage_dtype(self.m_bits))
+        self.keys = np.asarray(self.keys).astype(key_storage_dtype(self.m_bits), copy=False)
         self.rows = np.asarray(self.rows, dtype=np.int32)
         if self.keys.shape != self.rows.shape:
             raise ValueError("keys and rows must align")
@@ -95,11 +95,12 @@ class SortedKeyArray:
 class ESKLSH:
     """The full dimension-reduction module: H compound hashes + H sorted arrays.
 
-    The sorted rows live in one (H, L) int32 matrix ``rows``; each
-    ``SortedKeyArray.rows`` is a view of one row of it, so the H expansion
-    windows of a query are read with one gather.
+    The sorted keys and rows live in two (H, L) matrices, ``keys`` and
+    ``rows``; each ``SortedKeyArray`` holds views of one row of them, so
+    the H expansion windows of a query are read with one gather.
 
-    ``_planes`` is the family's shared (H, MAX_BITS, d) ``plane_stack``, and
+    ``_planes`` is the family's shared (H, MAX_BITS, d) ``plane_stack``.
+    The corpus is hashed with each array's first M planes, and
     ``query_keys`` returns the M-bit prefixes of the query's MAX_BITS-bit
     keys. A caller that hashed the query with the same stack (LIDER, once
     for all its in-cluster retrievers) gets exactly these keys by a shift;
@@ -110,15 +111,13 @@ class ESKLSH:
     def __init__(self, dim: int, m: int, h: int, *, base_seed: int = 1234, group: int = 0):
         if h <= 0:
             raise ValueError("H must be positive")
-        self.dim, self.m, self.h = dim, m, h
-        self.hashers: list[RandomHyperplanes] = make_projection_family(
-            dim, m, h, base_seed=base_seed, group=group
-        )
+        self.dim, self.m, self.h = dim, key_length_check(m), h
         # One matmul hashes a query for all H arrays at once ("query hashkey
         # generation", §6.1 step 1).
         self._planes = plane_stack(dim, h, base_seed=base_seed, group=group)
         self._shift = np.uint64(MAX_BITS - m)
         self._h_idx = np.arange(h)[:, None]
+        self.keys = np.empty((h, 0), dtype=key_storage_dtype(m))
         self.rows = np.empty((h, 0), dtype=np.int32)
         self.arrays: list[SortedKeyArray] = []
 
@@ -129,20 +128,23 @@ class ESKLSH:
         deterministic and reproducible by the Spark path.
         """
         x = np.asarray(x, dtype=np.float32)
-        keys = np.stack([hasher.keys(x) for hasher in self.hashers])
+        keys = np.stack([pack_bits((x @ p.T) > 0) for p in self._planes[:, : self.m]])
         order = np.argsort(keys, axis=1, kind="stable")
         return self.set_arrays(np.take_along_axis(keys, order, axis=1), order)
 
     def set_arrays(self, keys: np.ndarray, rows: np.ndarray) -> "ESKLSH":
         """Store the H sorted arrays from (H, L) sorted keys and their rows.
 
-        The one place ``rows`` and ``arrays`` are set, for a fit and for a
-        model read back from its parameters alike.
+        The one place ``keys``, ``rows`` and ``arrays`` are set, for a fit
+        and for a model read back from its parameters alike.
         """
+        self.keys = np.ascontiguousarray(keys, dtype=key_storage_dtype(self.m))
         self.rows = np.ascontiguousarray(rows, dtype=np.int32)
         if self.rows.ndim != 2 or self.rows.shape[0] != self.h:
             raise ValueError("rows must be an (H, L) matrix")
-        self.arrays = [SortedKeyArray(k, r, m_bits=self.m) for k, r in zip(keys, self.rows)]
+        if self.keys.shape != self.rows.shape:
+            raise ValueError("keys and rows must align")
+        self.arrays = [SortedKeyArray(k, r, m_bits=self.m) for k, r in zip(self.keys, self.rows)]
         return self
 
     def query_keys(self, q: np.ndarray) -> np.ndarray:
@@ -175,8 +177,9 @@ class ESKLSH:
 
     @property
     def planes_nbytes(self) -> int:
-        return sum(h.nbytes for h in self.hashers)
+        """Bytes of the H·M planes the corpus is hashed with."""
+        return self._planes[:, : self.m].nbytes
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays) + self.planes_nbytes
+        return self.keys.nbytes + self.rows.nbytes + self.planes_nbytes

@@ -47,7 +47,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     if weights is None:
         weights = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
         _WEIGHT_CACHE[m] = weights
-    return (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    return bits.astype(np.uint64) @ weights
 
 
 def unpack_bits(keys: np.ndarray, m: int) -> np.ndarray:

@@ -47,26 +47,44 @@ def clustered_small(corpus_small):
     return spherical_kmeans(corpus_small.emb, 8, seed=1234)
 
 
+@pytest.fixture(params=["not_2d", "non_finite", "misaligned_ids", "duplicate_ids"])
+def bad_corpus(request, corpus_small):
+    """(embeddings, ids, message) of a corpus the builds reject, one per rule."""
+    emb, ids = corpus_small.emb.copy(), np.arange(corpus_small.n)
+    if request.param == "not_2d":
+        return emb[0], None, r"2-D \(n, d\) matrix, got shape \(32,\)"
+    if request.param == "non_finite":
+        emb[17, 3] = np.nan
+        return emb, None, "corpus row 17 has a non-finite value"
+    if request.param == "misaligned_ids":
+        return emb, ids[:-1], "ids must be a 1-D array"
+    ids[50] = ids[10]
+    return emb, ids, "duplicate id 10"
+
+
 @pytest.fixture(scope="session")
 def unit_through_codec():
-    """Round-trip one array unit through the core-model codec.
+    """Round-trip one array's re-scaler and RMI through the core-model codec.
 
     ``unit_through_codec(n, rescale=..., rescaler=..., rmi=...)`` fits a
-    one-array core model on ``n`` random vectors, swaps in the given
-    rescaler / RMI, writes ``to_params`` with ``np.savez``, reads it back
-    through ``from_params`` and returns the rebuilt unit.
+    one-array core model on ``n`` random vectors, writes the given
+    rescaler / RMI into its ``to_params`` rows, saves them with
+    ``np.savez``, reads them back through ``from_params`` and returns the
+    rebuilt ``(rescaler, rmi)`` of ``CoreModel.array_models(0)``.
     """
 
-    def run(n: int, *, rescale: bool = True, **fields):
+    def run(n: int, *, rescale: bool = True, rescaler=None, rmi=None):
         emb = np.random.default_rng(0).standard_normal((n, 8)).astype(np.float32)
         cfg = CoreModelConfig(h=1, rescale=rescale)
-        cm = CoreModel(cfg).fit(emb)
-        for name, value in fields.items():
-            setattr(cm.units[0], name, value)
+        p = {name: arr.copy() for name, arr in CoreModel(cfg).fit(emb).to_params().items()}
+        if rescaler is not None:
+            p["key_range"][0] = rescaler.key_min, rescaler.key_max
+        if rmi is not None:
+            p["rmi"][0] = [(m.a, m.b, m.x_mean) for m in (rmi.root, *rmi.children)]
         buf = io.BytesIO()
-        np.savez(buf, **cm.to_params())
+        np.savez(buf, **p)
         buf.seek(0)
-        with np.load(buf, allow_pickle=False) as p:
-            return CoreModel.from_params(cfg, p, emb).units[0]
+        with np.load(buf, allow_pickle=False) as back:
+            return CoreModel.from_params(cfg, back, emb).array_models(0)
 
     return run

@@ -1,9 +1,11 @@
 """Tests for the core model (§3.1/§3.3.1): build, prediction, search, and
 its one parameter codec."""
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.metrics import recall_at_k
@@ -24,15 +26,24 @@ class TestConfig:
 
 class TestBuild:
     def test_unit_count_matches_h(self, core_model_small):
-        assert len(core_model_small.units) == 8
+        cm = core_model_small
+        assert len(cm.esklsh.arrays) == 8
+        assert cm.key_range.shape == (8, 2)
+        assert cm.rmi.shape == (8, 1 + cm.config.width, 3)
 
     def test_arrays_cover_corpus(self, core_model_small, corpus_small):
-        for u in core_model_small.units:
-            assert len(u.array) == corpus_small.n
+        assert core_model_small.esklsh.keys.shape == (8, corpus_small.n)
+        for arr in core_model_small.esklsh.arrays:
+            assert len(arr) == corpus_small.n
 
-    def test_rmi_trained_per_array(self, core_model_small):
-        for u in core_model_small.units:
-            assert u.rmi.root is not None
+    def test_rmi_trained_per_array(self, core_model_small, corpus_small):
+        """Every array's root RMI model is fitted on that array's locations
+        0..L-1 (its intercept is their mean) and every parameter is finite."""
+        cm = core_model_small
+        assert np.isfinite(cm.rmi).all() and np.isfinite(cm.key_range).all()
+        assert (cm.rmi[:, 0, 1] == (corpus_small.n - 1) / 2).all()
+        for i, keys in enumerate(cm.esklsh.keys):
+            assert cm.key_range[i].tolist() == [float(keys.min()), float(keys.max())]
 
     def test_default_ids_are_arange(self, core_model_small, corpus_small):
         assert np.array_equal(core_model_small.ids, np.arange(corpus_small.n))
@@ -54,23 +65,22 @@ class TestBuild:
     def test_deterministic_rebuild(self, corpus_small):
         a = CoreModel(CoreModelConfig(h=3)).fit(corpus_small.emb)
         b = CoreModel(CoreModelConfig(h=3)).fit(corpus_small.emb)
-        for ua, ub in zip(a.units, b.units):
-            assert np.array_equal(ua.array.keys, ub.array.keys)
-            assert np.array_equal(ua.array.rows, ub.array.rows)
+        pa, pb = a.to_params(), b.to_params()
+        for name in ("keys", "rows", "key_range", "rmi"):
+            assert np.array_equal(pa[name], pb[name])
 
     def test_groups_hash_differently(self, corpus_small):
         a = CoreModel(CoreModelConfig(h=2, group=0)).fit(corpus_small.emb)
         b = CoreModel(CoreModelConfig(h=2, group=1)).fit(corpus_small.emb)
-        assert not np.array_equal(a.units[0].array.keys, b.units[0].array.keys)
+        assert not np.array_equal(a.esklsh.keys[0], b.esklsh.keys[0])
 
 
 class TestPredictLocations:
     @pytest.mark.parametrize("rescale", [True, False])
     def test_matches_reference(self, rescale, corpus_small, queries_small):
-        """Re-scaled keys take the fused path; the rescale=False ablation
-        falls back to the per-unit reference itself."""
+        """Both arms, including the rescale=False ablation's diverged
+        slopes, predict through the one path."""
         cm = CoreModel(CoreModelConfig(h=4, rescale=rescale, pad=12)).fit(corpus_small.emb)
-        assert cm._use_fused == rescale
         for q in np.vstack([queries_small.emb[:10], corpus_small.emb[:5]]):
             k1, l1 = cm.predict_locations(q)
             k2, l2 = cm.predict_locations_reference(q)
@@ -89,11 +99,69 @@ class TestPredictLocations:
         for q in queries_small.emb:
             q_keys, locs = core_model_small.predict_locations(q)
             true = [
-                u.array.entry_location(int(k))
-                for u, k in zip(core_model_small.units, q_keys)
+                arr.entry_location(int(k))
+                for arr, k in zip(core_model_small.esklsh.arrays, q_keys)
             ]
             errs.append(np.abs(locs - np.asarray(true)))
         assert np.median(np.concatenate(errs)) < corpus_small.n * 0.05
+
+    # Array 2 of the centroids retriever of the seed-0 WIKI 100k benchmark
+    # index. At key 883 the reference's child prediction is 55.49999999999999;
+    # folding the key re-scaling into the child's slope and intercept first
+    # gives 55.5, which rounds to 56.
+    PINNED_RMI = [
+        [0.9085900000156929, 99.5, 100.11502447980416],
+        [0.7378858055665443, 8.0, 7.791504067967455],
+        [1.2394664799098452, 32.0, 22.525099695976625],
+        [0.6274852598332298, 55.5, 42.72288861689107],
+        [0.5570336880887289, 70.0, 63.6702570379437],
+        [0.9926865262194681, 88.0, 92.14300462987602],
+        [0.7694492096793619, 108.5, 110.26597307221544],
+        [0.7756232386839056, 126.5, 133.12133822929414],
+        [0.873163632778331, 146.0, 154.4143498280585],
+        [1.317607602217881, 172.0, 181.01166344217637],
+        [0.5124762711582928, 193.5, 193.88900448796412],
+    ]
+
+    def test_pinned_child_boundary(self):
+        n, cfg = 200, CoreModelConfig(h=1, width=10)
+        keys = np.linspace(6, 4091, n).astype(np.uint64)[None]
+        params = {
+            "ids": np.arange(n, dtype=np.int64),
+            "keys": keys,
+            "rows": np.arange(n, dtype=np.int32)[None],
+            "key_range": np.array([[6.0, 4091.0]]),
+            "rmi": np.array([self.PINNED_RMI]),
+        }
+        emb = np.random.default_rng(0).standard_normal((n, 8)).astype(np.float32)
+        cm = CoreModel.from_params(cfg, params, emb)
+        q_keys = np.array([883], dtype=np.uint64)
+        assert cm.predict_locations(None, q_keys)[1].tolist() == [55]
+        assert cm.predict_locations_reference(None, q_keys)[1].tolist() == [55]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_property(self, data):
+        """Small models of every shape, both arms, keys at both ends."""
+        n = data.draw(st.integers(1, 300), label="n")
+        cfg = CoreModelConfig(
+            h=data.draw(st.integers(1, 4), label="h"),
+            width=data.draw(st.integers(1, 6), label="width"),
+            pad=data.draw(st.integers(0, 50), label="pad"),
+            rescale=data.draw(st.booleans(), label="rescale"),
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        emb = np.random.default_rng(seed).standard_normal((n, 8)).astype(np.float32)
+        cm = CoreModel(cfg).fit(emb)
+        top = 2 ** cfg.hashkey_bits(n) - 1
+        key = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+        for _ in range(5):
+            q_keys = np.array(data.draw(st.lists(key, min_size=cfg.h, max_size=cfg.h)), np.uint64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, got = cm.predict_locations(None, q_keys)
+                _, want = cm.predict_locations_reference(None, q_keys)
+            assert np.array_equal(got, want)
 
 
 class TestSearch:
@@ -158,12 +226,27 @@ class TestParams:
             assert np.array_equal(ids_a, ids_b)
             assert np.array_equal(sc_a, sc_b)
         assert back.nbytes == cm.nbytes
-        assert back._use_fused == cm._use_fused
 
     def test_params_of_another_config_rejected(self, corpus_small):
         cm = CoreModel(CoreModelConfig(h=6)).fit(corpus_small.emb)
         with pytest.raises(ValueError, match="do not match"):
             CoreModel.from_params(CoreModelConfig(h=4), cm.to_params(), corpus_small.emb)
+
+    @pytest.mark.parametrize("name", ["key_range", "rmi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, corpus_small, name, bad):
+        cm = CoreModel(CoreModelConfig(h=6)).fit(corpus_small.emb)
+        p = dict(cm.to_params())
+        p[name] = p[name].copy()
+        p[name].flat[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CoreModel.from_params(cm.config, p, corpus_small.emb)
+
+    def test_model_holds_its_params(self, core_model_small):
+        """A fitted model keeps no second copy of what ``to_params`` writes."""
+        cm, p = core_model_small, core_model_small.to_params()
+        assert p["key_range"] is cm.key_range and p["rmi"] is cm.rmi
+        assert p["keys"] is cm.esklsh.keys and p["rows"] is cm.esklsh.rows
 
     def test_misaligned_embeddings_rejected(self, corpus_small):
         cm = CoreModel(CoreModelConfig(h=6)).fit(corpus_small.emb)

@@ -12,6 +12,7 @@ import pytest
 from repro.core.lider import LIDER, LIDERConfig
 from repro.datasource import register_lider_source, save_lider_index
 from repro.datasource.lider_source import FORMAT_VERSION, LiderReader, ann_search_df
+from pyspark.errors import AnalysisException
 from pyspark.sql.datasource import EqualTo, GreaterThan, In, InputPartition
 
 
@@ -158,6 +159,37 @@ class TestReaderPlanning:
     def test_missing_path_raises(self):
         with pytest.raises(ValueError):
             LiderReader({})
+
+
+class TestReaderQueryChecks:
+    """The reader rejects the queries ``LIDER.search`` rejects, when it plans
+    the partitions and inside each one."""
+
+    BAD = {
+        "wrong_dimension": ([1.0] * 31, "1-D vector of dimension 32"),
+        "non_finite": ([float("nan")] * 32, "non-finite"),
+        "zero_norm": ([0.0] * 32, "zero norm"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(BAD))
+    def test_partitions_reject(self, saved_index, rule):
+        query, message = self.BAD[rule]
+        reader = LiderReader({"path": saved_index[0], "query": json.dumps(query)})
+        with pytest.raises(ValueError, match=message):
+            reader.partitions()
+
+    @pytest.mark.parametrize("rule", sorted(BAD))
+    def test_read_rejects(self, saved_index, rule):
+        query, message = self.BAD[rule]
+        reader = LiderReader({"path": saved_index[0], "query": json.dumps(query)})
+        j = next(iter(saved_index[1].in_cluster))
+        with pytest.raises(ValueError, match=message):
+            list(reader.read(InputPartition(j)))
+
+    def test_ann_search_df_surfaces_the_message(self, spark_registered, saved_index):
+        query = np.full(32, np.nan, dtype=np.float32)
+        with pytest.raises(AnalysisException, match="query has a non-finite value"):
+            ann_search_df(spark_registered, saved_index[0], query, k=5).collect()
 
 
 class TestReadEnd2End:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.core_model import CoreModel, CoreModelConfig
 from repro.lsh.esklsh import ESKLSH, SortedKeyArray, expansion_window
+from repro.lsh.projections import make_projection_family
 
 
 class TestExpansionWindow:
@@ -87,8 +88,13 @@ class TestESKLSH:
         for arr in index.arrays:
             assert np.array_equal(np.sort(arr.rows), np.arange(corpus_small.n))
 
+    @staticmethod
+    def _hashers(index):
+        """The family's own compound hashes: first M planes of each array."""
+        return make_projection_family(index.dim, index.m, index.h, group=1)
+
     def test_keys_match_hashers(self, index, corpus_small):
-        for hasher, arr in zip(index.hashers, index.arrays):
+        for hasher, arr in zip(self._hashers(index), index.arrays):
             keys = hasher.keys(corpus_small.emb)
             assert np.array_equal(np.sort(keys), arr.keys)
 
@@ -104,7 +110,7 @@ class TestESKLSH:
     def test_query_keys_match_per_hasher(self, index, corpus_small):
         q = corpus_small.emb[3]
         qk = index.query_keys(q)
-        for i, hasher in enumerate(index.hashers):
+        for i, hasher in enumerate(self._hashers(index)):
             assert qk[i] == hasher.keys(q)
 
     def test_candidate_rows_dedup(self, index):
@@ -183,6 +189,13 @@ class TestVectorisedExpansion:
         for i, arr in enumerate(index.arrays):
             assert np.shares_memory(arr.rows, index.rows)
             assert np.array_equal(arr.rows, index.rows[i])
+
+    def test_array_keys_are_views_of_the_matrix(self, corpus_small):
+        index = ESKLSH(corpus_small.dim, m=14, h=4).fit(corpus_small.emb)
+        assert index.keys.shape == (4, corpus_small.n) and index.keys.dtype == np.uint16
+        for i, arr in enumerate(index.arrays):
+            assert np.shares_memory(arr.keys, index.keys)
+            assert np.array_equal(arr.keys, index.keys[i])
 
     def test_params_round_trip_rebuilds_the_matrix(self, corpus_small):
         cfg = CoreModelConfig(h=5)

@@ -56,6 +56,17 @@ class TestPacking:
         assert np.array_equal(unpack_bits(pack_bits(bits), m), bits)
 
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_int_reference(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=MAX_BITS), label="m")
+        row = st.lists(st.booleans(), min_size=m, max_size=m)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+        got = pack_bits(np.array(rows, dtype=bool))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [sum(b << (m - 1 - i) for i, b in enumerate(r)) for r in rows]
+
+
 class TestKL:
     def test_equal_keys_zero(self):
         keys, m = _keys_from_strings(["1010", "1010"])

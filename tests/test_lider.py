@@ -125,7 +125,7 @@ class TestMemory:
         assert total == parts
 
     def test_in_cluster_planes_physically_shared(self):
-        """Every IR's plane stack and hasher is a view of one cached stack.
+        """Every IR's plane stack is a view of one cached stack.
 
         More clusters than build threads, a (dim, seed) no other test uses
         and a short switch interval, so the Stage-3 threads race to fill
@@ -144,8 +144,6 @@ class TestMemory:
         stack = plane_stack(dim, cfg.h, base_seed=cfg.base_seed, group=IN_CLUSTER_GROUP)
         for cm in lider.in_cluster.values():
             assert np.shares_memory(cm.esklsh._planes, stack)
-            for hasher in cm.esklsh.hashers:
-                assert np.shares_memory(hasher.planes, stack)
 
     def test_in_cluster_retrievers_dominate(self, lider_small):
         """Table-5 observation: the IRs take the major fraction of the index."""
@@ -210,3 +208,12 @@ class TestQueryChecks:
         ids3, scores3 = lider_small.search(3 * q, 10)
         assert np.array_equal(ids3, ids)
         assert scores3 == pytest.approx(3 * scores, rel=1e-5)
+
+
+class TestCorpusChecks:
+    """Bad corpora are rejected at the ``LIDER.fit`` boundary, before Stage 1."""
+
+    def test_bad_corpus_rejected(self, bad_corpus):
+        emb, ids, message = bad_corpus
+        with pytest.raises(ValueError, match=message):
+            LIDER(LIDERConfig(c=8, c0=4)).fit(emb, ids)

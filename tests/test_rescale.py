@@ -51,13 +51,13 @@ class TestKeyRescaler:
 
     def test_params_roundtrip(self, unit_through_codec):
         r = KeyRescaler(42, enabled=False).fit(np.array([3, 9], dtype=np.uint64))
-        r2 = unit_through_codec(42, rescale=False, rescaler=r).rescaler
+        r2, _ = unit_through_codec(42, rescale=False, rescaler=r)
         keys = np.array([3, 6, 9], dtype=np.uint64)
         assert np.array_equal(r.transform(keys), r2.transform(keys))
 
     def test_params_roundtrip_enabled(self, unit_through_codec):
         r = KeyRescaler(42).fit(np.array([3, 9], dtype=np.uint64))
-        r2 = unit_through_codec(42, rescaler=r).rescaler
+        r2, _ = unit_through_codec(42, rescaler=r)
         keys = np.array([3, 6, 9], dtype=np.uint64)
         assert np.array_equal(r.transform(keys), r2.transform(keys))
 

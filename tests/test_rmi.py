@@ -54,7 +54,7 @@ class TestLinearModel:
         m = LinearModel(a=1.5, b=-2.0, x_mean=7.0)
         rmi = SimplifiedRMI(5, 100)
         rmi.root, rmi.children = m, [m] * 5
-        m2 = unit_through_codec(100, rmi=rmi).rmi.root
+        m2 = unit_through_codec(100, rmi=rmi)[1].root
         x = np.linspace(-5, 5, 7)
         assert np.array_equal(m.predict(x), m2.predict(x))
 
@@ -165,7 +165,7 @@ class TestSimplifiedRMI:
 
     def test_params_roundtrip(self, unit_through_codec):
         rmi, keys = self._fit()
-        rmi2 = unit_through_codec(1000, rmi=rmi).rmi
+        _, rmi2 = unit_through_codec(1000, rmi=rmi)
         probe = np.linspace(0, 999, 57)
         assert np.array_equal(rmi.predict_location(probe), rmi2.predict_location(probe))
 

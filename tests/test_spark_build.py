@@ -2,6 +2,7 @@
 checked against a DuckDB window oracle, and the whole build against the
 driver-side NumPy build."""
 import io
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -144,14 +145,11 @@ class TestEndToEnd:
         for j, cm in driver.in_cluster.items():
             other = dist.in_cluster[j]
             assert np.array_equal(cm.ids, other.ids)
-            for ua, ub in zip(cm.units, other.units):
-                assert np.array_equal(ua.array.keys, ub.array.keys)
-                assert ua.array.keys.dtype == ub.array.keys.dtype
-                assert np.array_equal(ua.array.rows, ub.array.rows)
-                assert (ua.rmi.root, ua.rmi.children) == (ub.rmi.root, ub.rmi.children)
-                assert (ua.rescaler.key_min, ua.rescaler.key_max, ua.rescaler.enabled) == (
-                    ub.rescaler.key_min, ub.rescaler.key_max, ub.rescaler.enabled
-                )
+            assert other.config == cm.config
+            pa, pb = cm.to_params(), other.to_params()
+            for name in ("keys", "rows", "key_range", "rmi"):
+                assert pa[name].dtype == pb[name].dtype
+                assert np.array_equal(pa[name], pb[name])
         for q in queries_small.emb[:15]:
             ids_a, sc_a = driver.search(q, 30)
             ids_b, sc_b = dist.search(q, 30)
@@ -171,3 +169,14 @@ class TestEndToEnd:
         cents, assigned = cluster_with_spark_kmeans(spark, spark_df.select("id", "emb"), 6)
         assert np.linalg.norm(cents, axis=1) == pytest.approx(1.0, abs=1e-5)
         assert assigned.select("cluster_id").distinct().count() <= 6
+
+
+class TestCorpusChecks:
+    def test_bad_corpus_rejected_before_spark(self, bad_corpus):
+        """The check runs before the build touches the session, so no Spark
+        job runs."""
+        emb, ids, message = bad_corpus
+        spark = mock.MagicMock(name="spark")
+        with pytest.raises(ValueError, match=message):
+            build_lider_spark(spark, emb, ids, config=CFG)
+        assert spark.mock_calls == []

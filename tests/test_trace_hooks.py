@@ -1,6 +1,8 @@
 """The benchmark's query-path hooks (``perfbench.tracer.instrument_search``)
 still see every layer of a LIDER search: a change that moves a layer out of
-the calls the hooks wrap fails here, not only in a benchmark run."""
+the calls the hooks wrap fails here, not only in a benchmark run. The
+locations they record, from which the benchmark's RMI errors come, are the
+reference predictor's."""
 from collections import Counter
 
 import numpy as np
@@ -35,7 +37,11 @@ def test_every_layer_traced(lider_small, queries_small):
         for s in spans:
             if s.name == "ir.predict":
                 # Each probed cluster's own M-bit keys, which the benchmark
-                # compares with the array's binary-search entry point.
-                assert np.array_equal(s.attrs["keys"], s.attrs["model"].esklsh.query_keys(q))
+                # compares with the array's binary-search entry point, and
+                # the locations of the one predictor, equal to the reference.
+                model, keys = s.attrs["model"], s.attrs["keys"]
+                assert np.array_equal(keys, model.esklsh.query_keys(q))
+                _, want = model.predict_locations_reference(q, keys)
+                assert np.array_equal(s.attrs["locs"], want)
     for ids0, ids in zip(plain, traced):
         assert np.array_equal(ids, ids0)
